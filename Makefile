@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt fuzz cover bench bench-smoke bench-gate bench-alloc benchdiff profile simcheck chaos
+.PHONY: all build vet test race check fmt fuzz cover bench bench-smoke bench-gate benchdiff profile simcheck chaos
 FUZZTIME ?= 10s
 
 all: check
@@ -21,12 +21,14 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Short bounded fuzz pass over the FTL mapping, ECC classification,
-# workload-codec, checkpoint torn-write and power-cut crash-recovery
-# harnesses; FUZZTIME=1m make fuzz for a longer soak.
+# workload-codec, binary trace readers, checkpoint torn-write and power-cut
+# crash-recovery harnesses; FUZZTIME=1m make fuzz for a longer soak.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFTLMapping -fuzztime=$(FUZZTIME) ./internal/ftl
 	$(GO) test -run=^$$ -fuzz=FuzzReadClassify -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run=^$$ -fuzz=FuzzWorkloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/check
+	$(GO) test -run=^$$ -fuzz=FuzzReadBlockTrace -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzReadPosixTrace -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCkptTornWrite -fuzztime=$(FUZZTIME) ./internal/ckpt
 	$(GO) test -run=^$$ -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/check
 
@@ -59,14 +61,6 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson -history BENCH_history.jsonl > bench_smoke.json
 	$(GO) run ./cmd/benchdiff -time-threshold=-1 -alloc-threshold=0.05 \
 		BENCH_results.json bench_smoke.json
-
-# Per-site allocation budget: run one attributed Figure 7a matrix and print
-# the allocs-by-subsystem breakdown, then enforce the checked-in per-site
-# ceilings and the steady-state per-request pins against the pooled engine.
-bench-alloc:
-	$(GO) run ./cmd/oocbench -fig 7a -matrix 96 -hostperf
-	$(GO) test -run='PerSiteAllocBudget|SteadyStateAllocs|HostPerfAttributionCoverage' \
-		-count=1 -v ./internal/experiment ./internal/ssd
 
 # Compare two archived bench runs by hand: make benchdiff OLD=a.json NEW=b.json
 OLD ?= BENCH_results.json

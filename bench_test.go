@@ -22,7 +22,6 @@ import (
 	"oocnvm/internal/interconnect"
 	"oocnvm/internal/linalg"
 	"oocnvm/internal/nvm"
-	"oocnvm/internal/obs/hostperf"
 	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/ooc"
 	"oocnvm/internal/sim"
@@ -500,44 +499,6 @@ func BenchmarkTelemetrySampling(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			drive := mk(bc.samp())
-			b.SetBytes(req)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				drive.Submit(traceRead(int64(i)*req, req))
-			}
-		})
-	}
-}
-
-// BenchmarkHostPerfProbes measures the replay hot path with the hostperf
-// allocation-attribution probes off (the default: one atomic load per probe)
-// and on (a runtime/metrics read per region boundary). The "off" case must
-// track BenchmarkSimulatorPageThroughput — shipping the probes may not tax
-// runs that never ask for host-cost measurement.
-func BenchmarkHostPerfProbes(b *testing.B) {
-	geo := nvm.PaperGeometry()
-	cp := nvm.Params(nvm.SLC)
-	const req = 1 << 20
-	for _, bc := range []struct {
-		name    string
-		enabled bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			drive, err := ssd.New(ssd.Config{
-				Geometry: geo, Cell: cp, Bus: nvm.ONFi3SDR(),
-				Link:       interconnect.Infinite{},
-				Translator: ssd.NewDirect(geo, cp),
-				Seed:       1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if bc.enabled {
-				hostperf.EnableAttrib()
-				defer hostperf.DisableAttrib()
-			} else {
-				hostperf.DisableAttrib()
-			}
 			b.SetBytes(req)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

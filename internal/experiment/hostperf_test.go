@@ -2,130 +2,48 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs/hostperf"
 )
 
-// runAttributed evaluates one TestOptions cell under a fresh host collector
-// and returns its summary.
-func runAttributed(t *testing.T) *hostperf.Summary {
-	t.Helper()
-	host := hostperf.NewCollector()
-	t.Cleanup(hostperf.DisableAttrib)
+// TestCellAllocCeiling pins the heap objects one whole evaluation cell
+// allocates: TestOptions CNL-EXT4/TLC, from trace generation through the
+// drained replay. It measures ~5k objects. The steady-state AllocsPerRun pins
+// catch a single new allocation on one hot path; this ceiling catches growth
+// anywhere else in the cell. Find the culprit with -memprofile.
+func TestCellAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation ceiling runs a full evaluation cell")
+	}
 	opt := TestOptions()
 	opt.MeasureRemaining = false
-	opt.Host = host
 	cfg, err := FindConfig("CNL-EXT4")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	if _, err := Run(cfg, nvm.TLC, opt); err != nil {
 		t.Fatal(err)
 	}
-	return host.Summary()
-}
-
-// TestHostPerfAttributionCoverage checks the books balance: the per-site
-// counts plus the unattributed remainder must sum exactly to the run total,
-// and the unattributed remainder must stay within an absolute floor. (The
-// old >=95%-of-total fraction criterion stopped being meaningful once the
-// free-listed lifecycle removed ~95% of the run's allocations: the
-// remainder is now runtime/testing background noise against a tiny total,
-// so the guard pins it absolutely instead.)
-func TestHostPerfAttributionCoverage(t *testing.T) {
-	s := runAttributed(t)
-	if s.Total.AllocObjs == 0 {
-		t.Fatal("run allocated nothing — collector broken")
-	}
-	var sum, unattributed int64
-	for _, sc := range s.Sites {
-		sum += sc.Objs
-		if sc.Name == "unattributed" {
-			unattributed = sc.Objs
-		}
-	}
-	if uint64(sum) != s.Total.AllocObjs {
-		t.Errorf("site sum %d != total %d (attribution must be exact)", sum, s.Total.AllocObjs)
-	}
-	// Measured ~0.7k unattributed objects per cell (runtime internals plus
-	// test-harness work outside the instrumented brackets); the ceiling has
-	// ~3x headroom. If this fails, a new allocation site appeared outside
-	// the hostperf brackets — instrument it or pool it.
-	const unattributedBudget = 2500
-	if unattributed > unattributedBudget {
-		t.Errorf("unattributed allocations %d exceed budget %d — a hot site is missing its hostperf bracket\n%s",
-			unattributed, unattributedBudget, s.FormatTable())
-	}
-	// The run records exactly one phase, named after its matrix cell.
-	if len(s.Phases) != 1 || s.Phases[0].Name != "cell CNL-EXT4/TLC" {
-		t.Errorf("phases = %+v, want one 'cell CNL-EXT4/TLC'", s.Phases)
-	}
-	if s.Phases[0].AllocObjs == 0 || s.Phases[0].Wall <= 0 {
-		t.Errorf("phase cost empty: %+v", s.Phases[0])
+	runtime.ReadMemStats(&after)
+	const ceiling = 20_000
+	if got := after.Mallocs - before.Mallocs; got > ceiling {
+		t.Errorf("evaluation cell allocated %d objects, ceiling %d", got, ceiling)
 	}
 }
 
-// siteBudgets is the per-site allocation budget table for one TestOptions
-// evaluation cell with the pooled lifecycle engine. Each ceiling carries
-// roughly 2x headroom over the measured steady number; the zeros-by-design
-// sites (their storage is recycled) get small slack for cold-path rarities.
-// A failure names the offending subsystem so the regression is immediately
-// localized — don't raise a ceiling without explaining in the PR where the
-// new allocations come from.
-var siteBudgets = []struct {
-	site   hostperf.Site
-	budget int64
-}{
-	{hostperf.SiteNVMSched, 1500},  // scratch warm-up: die buckets, plane queues, group arena
-	{hostperf.SiteSSDRequest, 128}, // translation slices come from the free list after warm-up
-	{hostperf.SiteObsSpan, 128},    // span storage is recycled via Tracer.Reset
-	{hostperf.SiteAttrib, 128},     // recorder segments are recycled via Recorder.Reset
-	{hostperf.SiteSimWindow, 64},   // heap preallocated to queue depth in NewWindow
-}
-
-// TestPerSiteAllocBudget pins the allocation budget of every instrumented
-// subsystem over a full evaluation cell, plus the cell's overall ceiling.
-// This is the table the zero-alloc engine is graded against: before the
-// free-listed lifecycle the same cell allocated ~101k objects with nvm-sched
-// alone charging ~93k; the pooled engine holds the whole run under a few
-// thousand.
-func TestPerSiteAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation budget table runs a full evaluation cell")
-	}
-	s := runAttributed(t)
-	const totalBudget = 20_000 // measured ~5.3k objects for the 96 MiB TestOptions cell
-	if s.Total.AllocObjs > totalBudget {
-		t.Errorf("evaluation cell allocated %d objects, budget %d\n%s",
-			s.Total.AllocObjs, totalBudget, s.FormatTable())
-	}
-	byName := map[string]int64{}
-	for _, sc := range s.Sites {
-		byName[sc.Name] = sc.Objs
-	}
-	for _, row := range siteBudgets {
-		name := row.site.String()
-		got, ok := byName[name]
-		if !ok {
-			t.Errorf("site %q missing from summary", name)
-			continue
-		}
-		if got > row.budget {
-			t.Errorf("site %s allocated %d objects, budget %d — this subsystem regressed\n%s",
-				name, got, row.budget, s.FormatTable())
-		}
-	}
-}
-
-// TestMatrixSerializesUnderAttribution proves measurement mode keeps matrix
-// results identical to the concurrent default: same seed, same cells, same
-// measurements, with every cell phase recorded.
+// TestMatrixSerializesUnderAttribution proves the host-perf measurement mode
+// (Options.Host set, which runs the cells one at a time whatever Workers
+// says) keeps matrix results identical to the concurrent default: same seed,
+// same cells, same measurements, with every cell phase recorded.
 func TestMatrixSerializesUnderAttribution(t *testing.T) {
 	opt := TestOptions()
 	opt.MeasureRemaining = false
-	configs := FileSystemConfigs()[:2]
+	configs := FileSystemConfigs()[:3]
 	cells := []nvm.CellType{nvm.TLC}
 
 	plain, err := Matrix(configs, cells, opt)
@@ -134,8 +52,8 @@ func TestMatrixSerializesUnderAttribution(t *testing.T) {
 	}
 
 	host := hostperf.NewCollector()
-	t.Cleanup(hostperf.DisableAttrib)
 	opt.Host = host
+	opt.Workers = 4
 	serial, err := Matrix(configs, cells, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -154,15 +72,20 @@ func TestMatrixSerializesUnderAttribution(t *testing.T) {
 	if len(s.Phases) != len(configs)*len(cells) {
 		t.Errorf("recorded %d phases, want %d", len(s.Phases), len(configs)*len(cells))
 	}
-	want := map[string]bool{}
+	// One worker takes the jobs in submission order, so the phases land in
+	// (config-major, cell-minor) order; concurrent workers would race.
+	var want []string
 	for _, cfg := range configs {
 		for _, cell := range cells {
-			want[fmt.Sprintf("cell %s/%s", cfg.Name, cell)] = true
+			want = append(want, fmt.Sprintf("cell %s/%s", cfg.Name, cell))
 		}
 	}
-	for _, p := range s.Phases {
-		if !want[p.Name] {
-			t.Errorf("unexpected phase %q", p.Name)
+	for i, p := range s.Phases {
+		if i < len(want) && p.Name != want[i] {
+			t.Errorf("phase %d is %q, want %q (cells did not run one at a time)", i, p.Name, want[i])
+		}
+		if p.AllocObjs == 0 || p.Wall <= 0 {
+			t.Errorf("phase cost empty: %+v", p)
 		}
 	}
 }

@@ -62,10 +62,9 @@ type Options struct {
 	// existing runs and their reports are byte-identical.
 	DurableCheckpointPages int64
 	// Host, when non-nil, records each evaluation cell as one host-perf
-	// phase (wall time, CPU, allocations, GC) and turns on allocation-site
-	// attribution. This is a measurement mode: Matrix serializes its
-	// workers while attribution is active, because the attribution region
-	// stack is process-global serial state.
+	// phase (wall time, CPU, allocations, GC). This is a measurement mode:
+	// phase deltas read process-wide counters, so Matrix runs its cells one
+	// at a time whenever Host is set.
 	Host *hostperf.Collector
 	// Workers caps Matrix's worker-pool size; zero or negative selects
 	// runtime.NumCPU. Results are independent of the setting (every cell is
@@ -130,11 +129,6 @@ func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
 	if opt.Host != nil {
 		defer opt.Host.Phase(fmt.Sprintf("cell %s/%s", cfg.Name, cell))()
 	}
-	// Everything in the harness that is not an inner subsystem region
-	// (trace generation, fs transform, stack assembly, result churn) is
-	// charged to the experiment site.
-	hostperf.Enter(hostperf.SiteExperiment)
-	defer hostperf.Exit()
 	blockOps, window, err := blockTrace(cfg, cell, opt)
 	if err != nil {
 		return Measurement{}, err
@@ -276,11 +270,11 @@ func Matrix(configs []Config, cells []nvm.CellType, opt Options) ([]Measurement,
 	if workers > len(out) {
 		workers = len(out)
 	}
-	// Host-perf attribution brackets regions on a process-global serial
-	// stack; running cells one at a time keeps every phase's resource delta
-	// and every site's allocation delta attributable to exactly one cell.
-	// Results are unchanged (each cell is deterministic and independent).
-	if hostperf.AttribActive() {
+	// Host-perf phases are deltas of process-wide counters; running cells
+	// one at a time keeps every phase's resource delta attributable to
+	// exactly one cell. Results are unchanged (each cell is deterministic
+	// and independent).
+	if opt.Host != nil {
 		workers = 1
 	}
 	for w := 0; w < workers; w++ {

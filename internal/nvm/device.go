@@ -6,7 +6,6 @@ import (
 	"oocnvm/internal/fault"
 	"oocnvm/internal/obs"
 	"oocnvm/internal/obs/attrib"
-	"oocnvm/internal/obs/hostperf"
 	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/sim"
 )
@@ -305,11 +304,6 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 	if len(ops) == 0 {
 		return at
 	}
-	// The die buckets, plane-merge queues and activation groups built below
-	// are the dominant allocation source of a replay; the hostperf region
-	// charges them to the nvm-sched subsystem.
-	hostperf.Enter(hostperf.SiteNVMSched)
-	defer hostperf.Exit()
 	if !d.started || at < d.firstIssue {
 		if !d.started {
 			d.firstIssue = at

@@ -29,7 +29,6 @@ import (
 	"text/tabwriter"
 
 	"oocnvm/internal/obs"
-	"oocnvm/internal/obs/hostperf"
 	"oocnvm/internal/sim"
 )
 
@@ -213,8 +212,6 @@ func NewRecorder(k int) *Recorder {
 	if k <= 0 {
 		k = DefaultTopK
 	}
-	hostperf.Enter(hostperf.SiteAttrib)
-	defer hostperf.Exit()
 	return &Recorder{k: k, topK: make([]Record, 0, k)}
 }
 
@@ -364,11 +361,6 @@ func (rec *Recorder) Commit(end sim.Time) {
 	if rec == nil || !rec.active {
 		return
 	}
-	// The recorder is allocation-free in steady state; the hostperf region
-	// exists to prove it — the obs-attrib subsystem row reading ~0 is the
-	// zero-alloc contract, and any future regression lands on this site.
-	hostperf.Enter(hostperf.SiteAttrib)
-	defer hostperf.Exit()
 	rec.active = false
 	r := &rec.cur
 	r.End = end

@@ -44,11 +44,10 @@ type Flags struct {
 	AttribOut string
 	// AttribTop is the slow-request exemplar capacity (top-K).
 	AttribTop int
-	// HostPerf prints the per-phase host-cost table and the
-	// allocs-by-subsystem breakdown on the command's output, and feeds the
-	// HTML report's "Host performance" section. Turning it on is a
-	// measurement mode: allocation-site attribution serializes the
-	// experiment matrix.
+	// HostPerf prints the per-phase host-cost table on the command's output
+	// and feeds the HTML report's "Host performance" section. Turning it on
+	// is a measurement mode: per-cell phases serialize the experiment
+	// matrix.
 	HostPerf bool
 	// HostPerfOut writes the host-performance summary to a file (JSON, or
 	// CSV with a .csv suffix). Implies host collection like HostPerf.
@@ -83,7 +82,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.AttribTop, "attrib-top", attrib.DefaultTopK,
 		"slow-request exemplar count kept for -attrib-out and report waterfalls")
 	fs.BoolVar(&f.HostPerf, "hostperf", false,
-		"print the per-phase host cost (wall, cpu, allocs, GC) and allocs-by-subsystem breakdown (serializes the matrix)")
+		"print the per-phase host cost (wall, cpu, allocs, GC); one phase per matrix cell (runs cells serially)")
 	fs.StringVar(&f.HostPerfOut, "hostperf-out", "",
 		"write the host-performance summary (JSON, or CSV with a .csv suffix)")
 	fs.StringVar(&f.HostPerfHistory, "hostperf-history", "",
@@ -135,8 +134,7 @@ func (f *Flags) Sampler() *timeseries.Sampler {
 
 // Host returns a fresh host-performance collector when host profiling was
 // requested (-hostperf or -hostperf-out), nil otherwise. A nil collector's
-// Phase is a no-op and the attribution probes stay on their disabled
-// one-atomic-load path, so runs without the flags pay nothing.
+// Phase is a no-op, so runs without the flags pay nothing.
 func (f *Flags) Host() *hostperf.Collector {
 	if !f.HostPerf && f.HostPerfOut == "" {
 		return nil
@@ -317,7 +315,7 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 	return nil
 }
 
-// writeHostSummary prints the host-cost tables when asked and writes the
+// writeHostSummary prints the host-cost table when asked and writes the
 // summary file (CSV with a .csv suffix, JSON otherwise), confirming with one
 // line on w.
 func writeHostSummary(w io.Writer, sum *hostperf.Summary, print bool, out string) error {
@@ -357,7 +355,7 @@ type HostFlags struct {
 // Register installs the host-performance flags on fs.
 func (f *HostFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.HostPerf, "hostperf", false,
-		"print the per-phase host cost (wall, cpu, allocs, GC) and allocs-by-subsystem breakdown")
+		"print the per-phase host cost (wall, cpu, allocs, GC)")
 	fs.StringVar(&f.HostPerfOut, "hostperf-out", "",
 		"write the host-performance summary (JSON, or CSV with a .csv suffix)")
 }

@@ -2,26 +2,15 @@
 // measures *simulated* time (device latencies, channel occupancy), hostperf
 // measures the *host* resources a run burns to produce those numbers: wall
 // time, CPU time, heap allocations, GC work — broken down per run phase
-// (trace build, each matrix cell, export) and attributed to the subsystems
-// that own the hot allocation sites (nvm transaction scheduling, ssd request
-// translation, observability records, window growth).
+// (trace build, each matrix cell, export).
 //
-// The package has two coupled mechanisms:
-//
-//   - A phase Collector: snapshots runtime.MemStats (plus getrusage CPU time
-//     where available) at phase boundaries, so a run emits a per-phase
-//     host-cost table next to its simulated-time results.
-//
-//   - Allocation-site attribution (sites.go): bracketed regions at the known
-//     hot allocation sites measure the heap-object delta inside each region
-//     and charge it to that subsystem. The deltas are exact — the sum over
-//     subsystems plus the unattributed remainder equals the run's total
-//     allocation count — which is what lets guard tests pin today's numbers.
-//
-// Everything is off by default and costs one atomic load per probe when
-// disabled. Enabling attribution is a *measurement mode*: it serializes the
-// experiment matrix (the region stack is process-global) and adds a
-// runtime/metrics read per region boundary.
+// A phase Collector snapshots runtime.MemStats (plus getrusage CPU time where
+// available) at phase boundaries, so a run emits a per-phase host-cost table
+// next to its simulated-time results. The snapshots read process-wide
+// counters, so a phase's delta belongs to it alone only while nothing else
+// runs beside it: experiment.Matrix serializes its cells when given a
+// collector. Per-layer host cost on the figure streams is bench/oocperf's
+// job; ad-hoc allocation sites come from any CLI's -memprofile.
 package hostperf
 
 import (
@@ -29,8 +18,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/metrics"
-	"sort"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -52,24 +39,14 @@ type Snap struct {
 // TakeSnap reads the current host-resource state. It calls
 // runtime.ReadMemStats (a brief stop-the-world), so it belongs at phase
 // boundaries, not on per-request paths.
-//
-// AllocObjs deliberately comes from the same runtime/metrics counter the
-// attribution regions read (not MemStats.Mallocs — the two counters flush
-// malloc caches differently and disagree by an unflushed span tail), so the
-// per-site sums and the phase totals are deltas of one monotonic counter
-// and the unattributed remainder is non-negative by construction.
 func TakeSnap() Snap {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	// A local sample keeps TakeSnap goroutine-safe; the package-global
-	// sample is reserved for the serial Enter/Exit hot path.
-	sample := []metrics.Sample{{Name: allocObjsMetric}}
-	metrics.Read(sample)
 	return Snap{
 		Wall:       time.Now(),
 		CPU:        cpuTime(),
 		HeapBytes:  ms.HeapAlloc,
-		AllocObjs:  sample[0].Value.Uint64(),
+		AllocObjs:  ms.Mallocs,
 		AllocBytes: ms.TotalAlloc,
 		GCCycles:   ms.NumGC,
 		GCPause:    time.Duration(ms.PauseTotalNs),
@@ -105,32 +82,20 @@ func delta(name string, begin, end Snap) PhaseCost {
 	}
 }
 
-// Collector accumulates the per-phase host costs of one run. Creating a
-// collector enables allocation-site attribution process-wide; Summary
-// snapshots the run's totals and the per-subsystem breakdown. Phases may be
-// recorded from any goroutine (the collector locks), but attribution regions
-// are serial — drivers that attach a collector must run their matrix cells
-// one at a time (experiment.Matrix does this automatically).
+// Collector accumulates the per-phase host costs of one run; Summary
+// snapshots the run's totals. Phases may be recorded from any goroutine (the
+// collector locks), but concurrent phases share the process-wide counters —
+// drivers that want per-cell deltas run their cells one at a time
+// (experiment.Matrix does this whenever Options.Host is set).
 type Collector struct {
-	mu        sync.Mutex
-	start     Snap
-	baseSites [NumSites]int64
-	phases    []PhaseCost
+	mu     sync.Mutex
+	start  Snap
+	phases []PhaseCost
 }
 
-// NewCollector snapshots the baseline and turns allocation-site attribution
-// on. Call Summary when the run is done; the attribution mode stays enabled
-// for the life of the process (it is a run-the-CLI-in-measurement-mode
-// switch, not a toggle to flip around hot loops).
+// NewCollector snapshots the baseline. Call Summary when the run is done.
 func NewCollector() *Collector {
-	c := &Collector{}
-	c.baseSites = siteSnapshot()
-	// The start snapshot is taken BEFORE attribution seeds its counter
-	// mark, so everything the regions charge happened after the snapshot
-	// and attributed <= total always holds.
-	c.start = TakeSnap()
-	EnableAttrib()
-	return c
+	return &Collector{start: TakeSnap()}
 }
 
 // Phase begins a named phase and returns the function that ends it:
@@ -153,23 +118,11 @@ func (c *Collector) Phase(name string) (end func()) {
 	}
 }
 
-// SiteCost is the allocation count attributed to one subsystem.
-type SiteCost struct {
-	Site  Site   `json:"-"`
-	Name  string `json:"name"`
-	Objs  int64  `json:"alloc_objects"`
-	Share float64
-}
-
-// Summary is the run's host-performance report: the whole-run totals, the
-// per-phase table, and the allocs-by-subsystem attribution.
+// Summary is the run's host-performance report: the whole-run totals and the
+// per-phase table.
 type Summary struct {
 	Total  PhaseCost   `json:"total"`
 	Phases []PhaseCost `json:"phases,omitempty"`
-	// Sites lists the instrumented subsystems in descending allocation
-	// order, followed by one "unattributed" entry holding everything the
-	// regions did not cover. Shares are of Total.AllocObjs.
-	Sites []SiteCost `json:"sites"`
 }
 
 // Summary computes the report for everything since NewCollector.
@@ -178,51 +131,14 @@ func (c *Collector) Summary() *Summary {
 		return nil
 	}
 	end := TakeSnap()
-	now := siteSnapshot()
 	c.mu.Lock()
 	phases := make([]PhaseCost, len(c.phases))
 	copy(phases, c.phases)
-	start, base := c.start, c.baseSites
 	c.mu.Unlock()
-
-	s := &Summary{Total: delta("total", start, end), Phases: phases}
-	var attributed int64
-	for site := Site(0); site < NumSites; site++ {
-		objs := now[site] - base[site]
-		attributed += objs
-		s.Sites = append(s.Sites, SiteCost{Site: site, Name: site.String(), Objs: objs})
-	}
-	sort.SliceStable(s.Sites, func(i, j int) bool { return s.Sites[i].Objs > s.Sites[j].Objs })
-	rest := int64(s.Total.AllocObjs) - attributed
-	if rest < 0 {
-		rest = 0
-	}
-	s.Sites = append(s.Sites, SiteCost{Site: NumSites, Name: "unattributed", Objs: rest})
-	if s.Total.AllocObjs > 0 {
-		for i := range s.Sites {
-			s.Sites[i].Share = float64(s.Sites[i].Objs) / float64(s.Total.AllocObjs)
-		}
-	}
-	return s
+	return &Summary{Total: delta("total", c.start, end), Phases: phases}
 }
 
-// AttributedFraction is the share of the run's allocations the instrumented
-// sites explain — the number the ≥95%-coverage guard tests pin.
-func (s *Summary) AttributedFraction() float64 {
-	if s.Total.AllocObjs == 0 {
-		return 1
-	}
-	var attributed int64
-	for _, sc := range s.Sites {
-		if sc.Name != "unattributed" {
-			attributed += sc.Objs
-		}
-	}
-	return float64(attributed) / float64(s.Total.AllocObjs)
-}
-
-// FormatTable renders the per-phase host-cost table and the
-// allocs-by-subsystem breakdown as aligned text.
+// FormatTable renders the per-phase host-cost table as aligned text.
 func (s *Summary) FormatTable() string {
 	var b strings.Builder
 	b.WriteString("host performance (wall-clock resources of this process)\n")
@@ -232,14 +148,6 @@ func (s *Summary) FormatTable() string {
 		writePhaseRow(w, p)
 	}
 	writePhaseRow(w, s.Total)
-	w.Flush()
-
-	b.WriteString("\nallocations by subsystem\n")
-	w = tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "subsystem\talloc-objects\tshare\n")
-	for _, sc := range s.Sites {
-		fmt.Fprintf(w, "%s\t%d\t%.1f%%\n", sc.Name, sc.Objs, 100*sc.Share)
-	}
 	w.Flush()
 	return b.String()
 }
@@ -271,14 +179,14 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteCSV emits the phase table (one row per phase plus the total) followed
-// by the subsystem breakdown, in one CSV stream with a `section` column.
+// WriteCSV emits the phase table, one row per phase plus the total, with a
+// `section` column telling them apart.
 func (s *Summary) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "section,name,wall_ns,cpu_ns,alloc_objects,alloc_bytes,gc_cycles,gc_pause_ns,heap_bytes,share"); err != nil {
+	if _, err := fmt.Fprintln(w, "section,name,wall_ns,cpu_ns,alloc_objects,alloc_bytes,gc_cycles,gc_pause_ns,heap_bytes"); err != nil {
 		return err
 	}
 	row := func(section string, p PhaseCost) error {
-		_, err := fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%d,%d,%d,\n",
+		_, err := fmt.Fprintf(w, "%s,%s,%d,%d,%d,%d,%d,%d,%d\n",
 			section, csvEscape(p.Name), p.Wall.Nanoseconds(), p.CPU.Nanoseconds(),
 			p.AllocObjs, p.AllocBytes, p.GCCycles, p.GCPause.Nanoseconds(), p.HeapBytes)
 		return err
@@ -288,15 +196,7 @@ func (s *Summary) WriteCSV(w io.Writer) error {
 			return err
 		}
 	}
-	if err := row("total", s.Total); err != nil {
-		return err
-	}
-	for _, sc := range s.Sites {
-		if _, err := fmt.Fprintf(w, "site,%s,,,%d,,,,,%.6f\n", csvEscape(sc.Name), sc.Objs, sc.Share); err != nil {
-			return err
-		}
-	}
-	return nil
+	return row("total", s.Total)
 }
 
 func csvEscape(s string) string {

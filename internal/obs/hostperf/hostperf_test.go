@@ -19,61 +19,10 @@ func alloc(n int) {
 
 var sink []byte
 
-func TestRegionAttributionCharges(t *testing.T) {
-	EnableAttrib()
-	defer DisableAttrib()
-	before := SiteAllocs(SiteNVMSched)
-	Enter(SiteNVMSched)
-	alloc(1000)
-	Exit()
-	got := SiteAllocs(SiteNVMSched) - before
-	// The boundary reads lag the allocator by an unflushed span tail (a
-	// hundred-odd objects), so the bounds are loose around the true 1000.
-	if got < 850 || got > 1200 {
-		t.Errorf("region charged %d allocations, want ~1000", got)
-	}
-}
-
-func TestNestedRegionsDoNotDoubleCount(t *testing.T) {
-	EnableAttrib()
-	defer DisableAttrib()
-	outerBefore := SiteAllocs(SiteExperiment)
-	innerBefore := SiteAllocs(SiteSSDRequest)
-	Enter(SiteExperiment)
-	alloc(500) // charged to experiment
-	Enter(SiteSSDRequest)
-	alloc(2000) // charged to ssd-request, NOT also to experiment
-	Exit()
-	alloc(500) // back to experiment
-	Exit()
-	outer := SiteAllocs(SiteExperiment) - outerBefore
-	inner := SiteAllocs(SiteSSDRequest) - innerBefore
-	if inner < 1800 || inner > 2200 {
-		t.Errorf("inner region charged %d, want ~2000", inner)
-	}
-	if outer < 850 || outer > 1300 {
-		t.Errorf("outer region charged %d, want ~1000 (inner must not leak out)", outer)
-	}
-}
-
-func TestDisabledProbesChargeNothing(t *testing.T) {
-	DisableAttrib()
-	before := SiteAllocs(SiteSimWindow)
-	Enter(SiteSimWindow)
-	alloc(100)
-	Exit()
-	if got := SiteAllocs(SiteSimWindow) - before; got != 0 {
-		t.Errorf("disabled probe charged %d allocations", got)
-	}
-}
-
 func TestCollectorPhasesAndSummary(t *testing.T) {
 	c := NewCollector()
-	defer DisableAttrib()
 	end := c.Phase("work")
-	Enter(SiteNVMSched)
 	alloc(3000)
-	Exit()
 	end()
 	s := c.Summary()
 	if s.Total.AllocObjs < 3000 {
@@ -88,23 +37,8 @@ func TestCollectorPhasesAndSummary(t *testing.T) {
 	if s.Phases[0].Wall <= 0 {
 		t.Errorf("phase wall time %v, want > 0", s.Phases[0].Wall)
 	}
-	// Sites: sum of all entries (including unattributed) must equal the
-	// total — the exactness contract of region attribution.
-	var sum int64
-	for _, sc := range s.Sites {
-		if sc.Objs < 0 {
-			t.Errorf("site %s has negative count %d", sc.Name, sc.Objs)
-		}
-		sum += sc.Objs
-	}
-	if uint64(sum) != s.Total.AllocObjs {
-		t.Errorf("site sum %d != total %d", sum, s.Total.AllocObjs)
-	}
-	if last := s.Sites[len(s.Sites)-1]; last.Name != "unattributed" {
-		t.Errorf("last site %q, want the unattributed remainder", last.Name)
-	}
-	if f := s.AttributedFraction(); f < 0 || f > 1 {
-		t.Errorf("attributed fraction %v out of [0,1]", f)
+	if s.Total.AllocObjs < s.Phases[0].AllocObjs {
+		t.Errorf("total allocs %d below its only phase's %d", s.Total.AllocObjs, s.Phases[0].AllocObjs)
 	}
 }
 
@@ -119,17 +53,19 @@ func TestNilCollectorIsSafe(t *testing.T) {
 
 func TestSummaryOutputs(t *testing.T) {
 	c := NewCollector()
-	defer DisableAttrib()
 	end := c.Phase("p1")
 	alloc(10)
 	end()
 	s := c.Summary()
 
 	table := s.FormatTable()
-	for _, want := range []string{"phase", "allocs", "subsystem", "unattributed", "p1", "total"} {
+	for _, want := range []string{"phase", "allocs", "p1", "total"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
+	}
+	if strings.Contains(table, "subsystem") {
+		t.Errorf("table still carries a subsystem section:\n%s", table)
 	}
 
 	var jbuf bytes.Buffer
@@ -149,44 +85,12 @@ func TestSummaryOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(cbuf.String()), "\n")
-	// Header + one phase + total + NumSites sites + unattributed.
-	want := 1 + len(s.Phases) + 1 + len(s.Sites)
+	// Header + one phase + total.
+	want := 1 + len(s.Phases) + 1
 	if len(lines) != want {
 		t.Errorf("CSV has %d lines, want %d:\n%s", len(lines), want, cbuf.String())
 	}
 	if !strings.HasPrefix(lines[0], "section,name,wall_ns") {
 		t.Errorf("CSV header wrong: %q", lines[0])
-	}
-}
-
-func TestEnableIsIdempotentAndResetsDepth(t *testing.T) {
-	EnableAttrib()
-	Enter(SiteObsSpan) // leave a region open, simulating a crashed bracket
-	DisableAttrib()
-	EnableAttrib() // must reset the stack
-	defer DisableAttrib()
-	before := SiteAllocs(SiteObsSpan)
-	alloc(100) // root-level: charged to SiteOther, not the stale region
-	Enter(SiteOther)
-	Exit()
-	if got := SiteAllocs(SiteObsSpan) - before; got != 0 {
-		t.Errorf("stale region charged %d allocations after re-enable", got)
-	}
-}
-
-func TestSiteStrings(t *testing.T) {
-	seen := make(map[string]bool)
-	for s := Site(0); s < NumSites; s++ {
-		name := s.String()
-		if name == "" || name == "unattributed" {
-			t.Errorf("site %d has bad name %q", s, name)
-		}
-		if seen[name] {
-			t.Errorf("duplicate site name %q", name)
-		}
-		seen[name] = true
-	}
-	if got := Site(NumSites).String(); got != "unattributed" {
-		t.Errorf("out-of-range site name %q, want unattributed", got)
 	}
 }

@@ -33,9 +33,9 @@ type RunInfo struct {
 	// breakdown table and the slow-request waterfall.
 	Attrib *attrib.Summary
 	// Host, when set, adds the host-performance section: the per-phase
-	// host-cost table and the allocs-by-subsystem breakdown of the simulator
-	// process itself. Reports of runs without -hostperf carry a nil Host and
-	// stay byte-identical to pre-hostperf reports.
+	// host-cost table of the simulator process itself. Reports of runs
+	// without -hostperf carry a nil Host and stay byte-identical to
+	// pre-hostperf reports.
 	Host *hostperf.Summary
 	// HostTrend, when set, adds benchmark-trajectory sparklines (one series
 	// per benchmark recorded in a bench history file) to the
@@ -609,22 +609,10 @@ func fmtBytes(n int64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// host-performance bar geometry (SVG user units).
-const (
-	hpLabelX = 4   // subsystem label anchor
-	hpX0     = 150 // bar origin
-	hpX1     = 560 // bar extent at the largest subsystem
-	hpValueX = 568 // direct count label anchor
-	hpRowH   = 24
-	hpBarH   = 14
-	hpTopPad = 6
-)
-
 // writeHostPerf renders the host-performance section: what the simulator
-// process itself cost to produce this run — per-phase resource table,
-// allocs-by-subsystem bars, and (when a bench history is supplied) the
-// benchmark-trajectory sparklines. Entirely absent when the run was not
-// driven with -hostperf.
+// process itself cost to produce this run — per-phase resource table and
+// (when a bench history is supplied) the benchmark-trajectory sparklines.
+// Entirely absent when the run was not driven with -hostperf.
 func writeHostPerf(b *strings.Builder, host *hostperf.Summary, trend []TrendSeries) {
 	if host == nil && len(trend) == 0 {
 		return
@@ -632,7 +620,6 @@ func writeHostPerf(b *strings.Builder, host *hostperf.Summary, trend []TrendSeri
 	b.WriteString("<h2>Host performance</h2>\n")
 	if host != nil {
 		writeHostPhases(b, host)
-		writeHostSites(b, host)
 	}
 	writeHostTrend(b, trend)
 }
@@ -653,49 +640,6 @@ func writeHostPhases(b *strings.Builder, host *hostperf.Summary) {
 	}
 	row(host.Total)
 	b.WriteString("</table></section>\n")
-}
-
-// writeHostSites draws one horizontal bar per instrumented subsystem, scaled
-// to the largest. Each site keeps a fixed palette slot (color follows the
-// subsystem, never its rank); the unattributed remainder wears the muted
-// "other" fill.
-func writeHostSites(b *strings.Builder, host *hostperf.Summary) {
-	if len(host.Sites) == 0 {
-		return
-	}
-	var max int64
-	for _, sc := range host.Sites {
-		if sc.Objs > max {
-			max = sc.Objs
-		}
-	}
-	fmt.Fprintf(b, "<section class=\"card\">\n<p class=\"chart-title\">Allocations by subsystem</p>\n<p class=\"chart-sub\">%d heap objects total · %.1f%% attributed to instrumented sites</p>\n",
-		host.Total.AllocObjs, host.AttributedFraction()*100)
-	h := hpTopPad + len(host.Sites)*hpRowH
-	fmt.Fprintf(b, "<svg viewBox=\"0 0 %d %d\" role=\"img\" aria-label=\"allocation count per subsystem\">\n", chartW, h)
-	for i, sc := range host.Sites {
-		rowY := float64(hpTopPad + i*hpRowH)
-		barY := rowY + float64(hpRowH-hpBarH)/2
-		midY := barY + float64(hpBarH)/2
-		fill := "var(--series-other)"
-		if sc.Site < hostperf.NumSites {
-			fill = fmt.Sprintf("var(--series-%d)", int(sc.Site)+1)
-		}
-		fmt.Fprintf(b, "<text x=\"%d\" y=\"%s\" fill=\"var(--text-secondary)\" font-size=\"11\" dominant-baseline=\"middle\">%s</text>\n",
-			hpLabelX, f2(midY), html.EscapeString(sc.Name))
-		if max > 0 && sc.Objs > 0 {
-			w := float64(sc.Objs) / float64(max) * float64(hpX1-hpX0)
-			if w < 1 {
-				w = 1 // sub-pixel counts keep a visible hairline
-			}
-			fmt.Fprintf(b, "<rect x=\"%d\" y=\"%s\" width=\"%s\" height=\"%d\" rx=\"1\" fill=\"%s\"><title>%s</title></rect>\n",
-				hpX0, f2(barY), f2(w), hpBarH, fill,
-				html.EscapeString(fmt.Sprintf("%s · %d objects (%.1f%%)", sc.Name, sc.Objs, sc.Share*100)))
-		}
-		fmt.Fprintf(b, "<text x=\"%d\" y=\"%s\" fill=\"var(--text-secondary)\" font-size=\"11\" dominant-baseline=\"middle\">%d (%.1f%%)</text>\n",
-			hpValueX, f2(midY), sc.Objs, sc.Share*100)
-	}
-	b.WriteString("</svg>\n</section>\n")
 }
 
 // sparkline geometry (SVG user units).

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"oocnvm/internal/obs/hostperf"
 	"oocnvm/internal/sim"
 )
 
@@ -56,17 +55,14 @@ func (t *Tracer) Span(layer, track, name string, start, end sim.Time, attrs ...A
 	if end < start {
 		end = start
 	}
-	hostperf.Enter(hostperf.SiteObsSpan)
 	t.mu.Lock()
 	if t.limit > 0 && len(t.spans) >= t.limit {
 		t.dropped++
 		t.mu.Unlock()
-		hostperf.Exit()
 		return
 	}
 	t.spans = append(t.spans, span{layer: layer, track: track, name: name, start: start, end: end, attrs: attrs})
 	t.mu.Unlock()
-	hostperf.Exit()
 }
 
 // Len reports how many spans are recorded.

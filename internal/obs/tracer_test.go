@@ -170,3 +170,20 @@ func TestEmptyTracerExportsValidJSON(t *testing.T) {
 		t.Fatalf("traceEvents not an array: %v", doc["traceEvents"])
 	}
 }
+
+// TestTracerSpanSteadyStateAllocs pins span recording into a reset tracer at
+// zero allocations: Reset keeps the backing array, so a tracer reused across
+// runs records into recycled storage. (Attrs are left off; a caller's
+// variadic attribute slice is the caller's allocation.)
+func TestTracerSpanSteadyStateAllocs(t *testing.T) {
+	tr := NewTracer()
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Reset()
+		for i := sim.Time(0); i < 256; i++ {
+			tr.Span(LayerNVM, "ch00/die00", "sense", i, i+1)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Span after Reset allocates %v objects per 256 spans, want 0", allocs)
+	}
+}

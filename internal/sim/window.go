@@ -1,7 +1,5 @@
 package sim
 
-import "oocnvm/internal/obs/hostperf"
-
 // Window models the host's bounded set of in-flight operations. Two limits
 // apply simultaneously:
 //
@@ -110,16 +108,7 @@ type inflightOp struct {
 
 // push inserts op, maintaining the min-heap ordering on end time.
 func (w *Window) push(op inflightOp) {
-	if len(w.heap) == cap(w.heap) {
-		// Backing-array growth is the window's only allocation; attribute
-		// it so the allocs-by-subsystem map can show it is already amortized
-		// out (growth stops once the heap reaches the queue depth).
-		hostperf.Enter(hostperf.SiteSimWindow)
-		w.heap = append(w.heap, op)
-		hostperf.Exit()
-	} else {
-		w.heap = append(w.heap, op)
-	}
+	w.heap = append(w.heap, op)
 	h := w.heap
 	i := len(h) - 1
 	for i > 0 {

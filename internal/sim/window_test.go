@@ -192,3 +192,27 @@ func TestWindowInFlightAt(t *testing.T) {
 		t.Errorf("InFlightAt(7) = %d with lazily-retained ops, want 0", got)
 	}
 }
+
+// TestWindowSteadyStateAllocs pins admit/complete at full queue depth at zero
+// allocations: the heap is preallocated to the depth in NewWindow and never
+// grows past it.
+func TestWindowSteadyStateAllocs(t *testing.T) {
+	const depth = 32
+	w := NewWindow(depth, 0)
+	var at Time
+	for i := 0; i < depth; i++ {
+		w.Complete(w.Admit(at, 4096)+Time(depth), 4096)
+		at++
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		issue := w.Admit(at, 4096)
+		w.Complete(issue+Time(depth), 4096)
+		at = issue + 1
+	})
+	if allocs != 0 {
+		t.Errorf("Admit/Complete at depth %d allocates %v objects per op, want 0", depth, allocs)
+	}
+	if got := w.InFlight(); got != depth {
+		t.Errorf("in flight %d, want the full depth %d", got, depth)
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs"
 	"oocnvm/internal/obs/attrib"
-	"oocnvm/internal/obs/hostperf"
 	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/pool"
 	"oocnvm/internal/sim"
@@ -558,9 +557,7 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 		return s.clock, err
 	}
 	// Translation (FTL mapping, GC relocation planning, Direct striping)
-	// builds the request's page-op slice; the hostperf region charges it to
-	// the ssd-request subsystem.
-	hostperf.Enter(hostperf.SiteSSDRequest)
+	// builds the request's page-op slice.
 	var pageOps []nvm.PageOp
 	switch op.Kind {
 	case trace.Read:
@@ -570,7 +567,6 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 	case trace.Erase:
 		pageOps = s.trans.Erase(op.Offset, op.Size)
 	}
-	hostperf.Exit()
 	issue := s.win.Admit(s.clock, op.Size)
 	// Queue covers both the sync barrier drain and window admission: arrive
 	// was stamped before the drain, so issue-arrive is the whole wait.
@@ -693,9 +689,7 @@ func (s *SSD) recover(at sim.Time) sim.Time {
 				s.faults.Degrade()
 				return at
 			}
-			hostperf.Enter(hostperf.SiteSSDRequest)
 			r := br.RetireBlock(f.PPN)
-			hostperf.Exit()
 			if !r.OK {
 				s.faults.Degrade()
 				return at

@@ -155,6 +155,32 @@ func SizeHistogram(ops []BlockOp) []struct {
 var blockMagic = [8]byte{'O', 'O', 'C', 'B', 'L', 'K', '0', '1'}
 var posixMagic = [8]byte{'O', 'O', 'C', 'P', 'S', 'X', '0', '1'}
 
+// maxPrealloc caps the slice capacity a reader reserves from a header's
+// record count. The count is untrusted input: a 16-byte file claiming 2^62
+// records must fail on its missing records, not on the allocation. Longer
+// traces grow past the cap by append.
+const maxPrealloc = 1 << 16
+
+// readCount reads a trace header's record count.
+func readCount(br io.Reader) (int64, error) {
+	var n int64
+	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("trace: negative record count %d", n)
+	}
+	return n, nil
+}
+
+// checkKind rejects record kinds outside Read/Write/Erase.
+func checkKind(i int64, k uint8) error {
+	if Kind(k) > Erase {
+		return fmt.Errorf("trace: record %d: unknown kind %d", i, k)
+	}
+	return nil
+}
+
 // WriteBlockTrace streams ops to w in the binary block-trace format.
 func WriteBlockTrace(w io.Writer, ops []BlockOp) error {
 	bw := bufio.NewWriter(w)
@@ -196,14 +222,11 @@ func ReadBlockTrace(r io.Reader) ([]BlockOp, error) {
 	if magic != blockMagic {
 		return nil, fmt.Errorf("trace: not a block trace (magic %q)", magic)
 	}
-	var n int64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	n, err := readCount(br)
+	if err != nil {
 		return nil, err
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("trace: negative record count %d", n)
-	}
-	ops := make([]BlockOp, 0, n)
+	ops := make([]BlockOp, 0, min(n, maxPrealloc))
 	for i := int64(0); i < n; i++ {
 		var rec struct {
 			Kind   uint8
@@ -214,6 +237,9 @@ func ReadBlockTrace(r io.Reader) ([]BlockOp, error) {
 		}
 		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+		}
+		if err := checkKind(i, rec.Kind); err != nil {
+			return nil, err
 		}
 		ops = append(ops, BlockOp{
 			Kind:   Kind(rec.Kind),
@@ -259,14 +285,11 @@ func ReadPosixTrace(r io.Reader) ([]PosixOp, error) {
 	if magic != posixMagic {
 		return nil, fmt.Errorf("trace: not a POSIX trace (magic %q)", magic)
 	}
-	var n int64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	n, err := readCount(br)
+	if err != nil {
 		return nil, err
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("trace: negative record count %d", n)
-	}
-	ops := make([]PosixOp, 0, n)
+	ops := make([]PosixOp, 0, min(n, maxPrealloc))
 	for i := int64(0); i < n; i++ {
 		var rec struct {
 			Kind   uint8
@@ -276,6 +299,9 @@ func ReadPosixTrace(r io.Reader) ([]PosixOp, error) {
 		}
 		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
 			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+		}
+		if err := checkKind(i, rec.Kind); err != nil {
+			return nil, err
 		}
 		ops = append(ops, PosixOp{Kind: Kind(rec.Kind), Offset: rec.Offset, Size: rec.Size})
 	}

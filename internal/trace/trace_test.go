@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -239,5 +240,43 @@ func TestDecodeJSONErrors(t *testing.T) {
 	}
 	if _, err := DecodePosixJSON(strings.NewReader("[{]")); err == nil {
 		t.Fatal("bad posix JSON accepted")
+	}
+}
+
+// header is a bare trace header: magic plus a record count and no records.
+func header(magic [8]byte, n int64) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic[:])
+	binary.Write(&buf, binary.LittleEndian, n)
+	return buf.Bytes()
+}
+
+// TestReadTraceHugeCountHeader feeds a 16-byte header claiming 2^62 records:
+// the readers must fail on the missing first record instead of reserving
+// memory for the claimed count.
+func TestReadTraceHugeCountHeader(t *testing.T) {
+	const huge = 1 << 62
+	if _, err := ReadBlockTrace(bytes.NewReader(header(blockMagic, huge))); err == nil {
+		t.Error("block trace with a huge count and no records accepted")
+	}
+	if _, err := ReadPosixTrace(bytes.NewReader(header(posixMagic, huge))); err == nil {
+		t.Error("POSIX trace with a huge count and no records accepted")
+	}
+}
+
+func TestReadTraceRejectsUnknownKind(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBlockTrace(&buf, []BlockOp{{Kind: Kind(3), Size: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBlockTrace(&buf); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+		t.Errorf("block record of kind 3: err = %v, want an unknown-kind error", err)
+	}
+	buf.Reset()
+	if err := WritePosixTrace(&buf, []PosixOp{{Kind: Kind(200), Size: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadPosixTrace(&buf); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+		t.Errorf("POSIX record of kind 200: err = %v, want an unknown-kind error", err)
 	}
 }
