@@ -21,7 +21,7 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Short bounded fuzz pass over the FTL mapping, ECC classification,
-# workload-codec, binary trace readers, checkpoint torn-write and power-cut
+# workload-codec, binary and JSON trace readers, checkpoint torn-write and power-cut
 # crash-recovery harnesses; FUZZTIME=1m make fuzz for a longer soak.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFTLMapping -fuzztime=$(FUZZTIME) ./internal/ftl
@@ -29,6 +29,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzWorkloadRoundTrip -fuzztime=$(FUZZTIME) ./internal/check
 	$(GO) test -run=^$$ -fuzz=FuzzReadBlockTrace -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzReadPosixTrace -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeBlockJSON -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzDecodePosixJSON -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCkptTornWrite -fuzztime=$(FUZZTIME) ./internal/ckpt
 	$(GO) test -run=^$$ -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/check
 

@@ -240,6 +240,11 @@ func replay(cfg Config, cell nvm.CellType, opt Options, ops []trace.BlockOp, win
 	if col != nil {
 		col.Reg.Absorb(drive.Dev.Registry())
 	}
+	// A fault-free drive has no reason to reject an op, so its first error
+	// means the bandwidth above is not the trace's: fail the cell.
+	if err := drive.Err(); err != nil && sc.Fault == nil {
+		return ssd.Result{}, fmt.Errorf("experiment: %s/%s: %w", cfg.Name, cell, err)
+	}
 	return res, nil
 }
 

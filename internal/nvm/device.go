@@ -353,6 +353,15 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 			end = sim.MaxTime(end, d.runActivation(barrier, barrier-issue, a, attributing))
 		}
 	}
+	dpc := d.Geo.DiesPerChannel()
+	for c := range d.chanBus {
+		for _, b := range d.scBuckets[c*dpc : (c+1)*dpc] {
+			if len(b) > 0 {
+				d.foldCover(c)
+				break
+			}
+		}
+	}
 
 	pal := PAL1
 	switch {
@@ -533,6 +542,36 @@ func (d *Device) markChan(c int, start, end sim.Time) {
 func (d *Device) markDie(c, die int, start, end sim.Time) {
 	d.chCover[c].Add(start, end)
 	d.pkgCover[c][d.Geo.Package(die)].Add(start, end)
+}
+
+// foldCover folds channel c's cover sets behind its timeline frontier: the
+// channel set at the least horizon of its bus and dies, and the set of each
+// package this request touched at the least horizon of the package's dies
+// (an untouched package's horizons did not move). Every span markChan and
+// markDie record starts at or after the horizon of the timeline it books
+// (cache-mode staging starts at the post-sense cursor, itself at or after
+// the die's horizon), and horizons never move backwards, so no later span
+// starts before the frontier. A die never used holds its sets' frontier at
+// zero.
+func (d *Device) foldCover(c int) {
+	dies := d.dies[c]
+	buckets := d.scBuckets[c*len(dies) : (c+1)*len(dies)]
+	pkgs := d.Geo.PackagesPerChannel
+	front := d.chanBus[c].FreeAt()
+	for die := range dies {
+		front = sim.MinTime(front, dies[die].FreeAt())
+		if len(buckets[die]) == 0 {
+			continue
+		}
+		// Dies p, p+pkgs, p+2·pkgs, … are the ones Geo.Package maps to p.
+		p := d.Geo.Package(die)
+		pf := dies[p].FreeAt()
+		for q := p + pkgs; q < len(dies); q += pkgs {
+			pf = sim.MinTime(pf, dies[q].FreeAt())
+		}
+		d.pkgCover[c][p].Fold(pf)
+	}
+	d.chCover[c].Fold(front)
 }
 
 // chargeDieWait charges the wait [from, start) on a die to cell contention,

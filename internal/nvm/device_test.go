@@ -320,3 +320,48 @@ func TestOpString(t *testing.T) {
 		t.Fatal("unknown op should render its number")
 	}
 }
+
+// TestCoverSetsStayBounded replays 1k and then 10k more spaced-out requests,
+// each leaving disjoint busy spans behind, and checks the utilization cover
+// sets hold only the spans still in flight: the live span count of every
+// channel and package set stays under a bound set by the geometry, not by
+// the run length.
+func TestCoverSetsStayBounded(t *testing.T) {
+	d := newTestDevice(t, MLC, ONFi3SDR(), fastLink{})
+	maxLive := func() int {
+		n := 0
+		for c := range d.chCover {
+			n = max(n, d.chCover[c].Len())
+			for p := range d.pkgCover[c] {
+				n = max(n, d.pkgCover[c][p].Len())
+			}
+		}
+		return n
+	}
+	var lpn int64
+	ops := make([]PageOp, 8)
+	replay := func(from, to int) {
+		for i := from; i < to; i++ {
+			for j := range ops {
+				ops[j] = readOp(lpn, d)
+				lpn++
+			}
+			if i%4 == 0 {
+				ops[0].Op = OpProgram
+			}
+			d.Submit(sim.Time(i)*100*sim.Microsecond, ops)
+		}
+	}
+	replay(0, 1000)
+	after1k := maxLive()
+	replay(1000, 11000)
+	after10k := maxLive()
+	t.Logf("max live spans: %d after 1k requests, %d after 11k", after1k, after10k)
+	if bound := 4 * d.Geo.DiesPerChannel(); after1k > bound || after10k > bound {
+		t.Fatalf("cover sets grew with the run: max live spans %d after 1k requests, %d after 11k, bound %d",
+			after1k, after10k, bound)
+	}
+	if u := d.ChannelUtilization(); u <= 0 || u >= 1 {
+		t.Fatalf("channel utilization %v, want a partial busy fraction", u)
+	}
+}

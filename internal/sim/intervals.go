@@ -1,134 +1,81 @@
 package sim
 
+import "fmt"
+
 // IntervalSet accumulates possibly-overlapping busy intervals and reports
 // the total covered time — the "kept busy" union the paper's channel- and
-// package-level utilization probes measure. Appends that touch the most
-// recent interval are coalesced immediately; the rest are merged lazily.
+// package-level utilization probes measure. It holds only the spans still
+// in flight: the owner calls Fold with a frontier no later booking can start
+// before, and every span that ended by then collapses into one scalar, so
+// the set's size tracks the work in flight rather than the run length.
 type IntervalSet struct {
-	spans  []span
-	sorted bool
-	// nextCompact is the span count that triggers the next in-place merge;
-	// it doubles relative to what survives a merge so genuinely disjoint
-	// workloads stay amortized O(1) per Add instead of re-merging every
-	// append.
-	nextCompact int
+	folded Time   // covered time of the spans already folded away
+	floor  Time   // highest frontier folded at; no span may start before it
+	live   []span // disjoint, sorted by start
 }
 
 type span struct{ start, end Time }
 
-// compactThreshold bounds the lazily-accumulated tail: once the set holds
-// this many spans it merges in place, so a long replay's per-event appends
-// reuse a bounded, recycled backing array instead of growing one span per
-// booking for the whole run.
-const compactThreshold = 256
-
 // Add records a busy interval. Zero- or negative-length intervals are
-// ignored.
+// ignored. An interval starting before the last fold frontier panics: it
+// could overlap folded time, which Covered would then count twice.
 func (s *IntervalSet) Add(start, end Time) {
 	if end <= start {
 		return
 	}
-	if n := len(s.spans); n > 0 {
-		last := &s.spans[n-1]
-		if start <= last.end && end >= last.start {
-			if start < last.start {
-				last.start = start
-				s.sorted = false
-			}
-			if end > last.end {
-				last.end = end
-			}
-			return
-		}
-		if start < last.end {
-			s.sorted = false
-		}
+	if start < s.floor {
+		panic(fmt.Sprintf("sim: interval [%v, %v) starts before the fold frontier %v", start, end, s.floor))
 	}
-	s.spans = append(s.spans, span{start, end})
-	if s.nextCompact == 0 {
-		s.nextCompact = compactThreshold
-	}
-	if len(s.spans) >= s.nextCompact {
-		s.compact()
-		s.nextCompact = 2 * len(s.spans)
-		if s.nextCompact < compactThreshold {
-			s.nextCompact = compactThreshold
-		}
-	}
-}
-
-// compact sorts and merges the spans in place (the union is unchanged),
-// shrinking the set back to its disjoint intervals while keeping the backing
-// storage for subsequent appends.
-func (s *IntervalSet) compact() {
-	if len(s.spans) == 0 {
-		s.sorted = true
+	// Almost every booking lands at the tail: past the last span, or
+	// starting inside it.
+	n := len(s.live)
+	if n == 0 || start > s.live[n-1].end {
+		s.live = append(s.live, span{start, end})
 		return
 	}
-	if !s.sorted {
-		sortSpans(s.spans)
+	if last := &s.live[n-1]; start >= last.start {
+		last.end = MaxTime(last.end, end)
+		return
 	}
-	merged := s.spans[:1]
-	for _, sp := range s.spans[1:] {
-		last := &merged[len(merged)-1]
-		if sp.start <= last.end {
-			if sp.end > last.end {
-				last.end = sp.end
-			}
-			continue
-		}
-		merged = append(merged, sp)
+	// Otherwise scan back: live[i:] are the spans ending at or after start,
+	// live[i:j] those the new interval touches.
+	i := n - 1
+	for i > 0 && s.live[i-1].end >= start {
+		i--
 	}
-	s.spans = merged
-	s.sorted = true
+	j := i
+	for j < n && s.live[j].start <= end {
+		j++
+	}
+	if i == j {
+		s.live = append(s.live, span{})
+		copy(s.live[i+1:], s.live[i:])
+		s.live[i] = span{start, end}
+		return
+	}
+	s.live[i] = span{MinTime(start, s.live[i].start), MaxTime(end, s.live[j-1].end)}
+	s.live = s.live[:i+1+copy(s.live[i+1:], s.live[j:])]
 }
 
-// sortSpans orders spans by start time with an in-place heapsort.
-// sort.Slice would allocate (its reflect-based swapper escapes) on every
-// compaction, which Stats-time Covered calls turn into a per-run cost
-// multiplied by the channel and package cover-set count; a hand-rolled sort
-// keeps the compaction allocation-free. Ties in start order are merged away
-// by compact, so the unstable order cannot change the union.
-func sortSpans(spans []span) {
-	n := len(spans)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftSpan(spans, i, n)
+// Fold collapses every span ending at or before frontier into the folded
+// total and raises the floor to frontier. The caller guarantees no later
+// Add starts before frontier.
+func (s *IntervalSet) Fold(frontier Time) {
+	k := 0
+	for k < len(s.live) && s.live[k].end <= frontier {
+		s.folded += s.live[k].end - s.live[k].start
+		k++
 	}
-	for i := n - 1; i > 0; i-- {
-		spans[0], spans[i] = spans[i], spans[0]
-		siftSpan(spans, 0, i)
+	if k > 0 {
+		s.live = s.live[:copy(s.live, s.live[k:])]
 	}
-}
-
-// siftSpan restores the max-heap property for the subtree rooted at i,
-// considering only the first n elements.
-func siftSpan(spans []span, i, n int) {
-	for {
-		big := i
-		if l := 2*i + 1; l < n && spans[l].start > spans[big].start {
-			big = l
-		}
-		if r := 2*i + 2; r < n && spans[r].start > spans[big].start {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		spans[i], spans[big] = spans[big], spans[i]
-		i = big
-	}
+	s.floor = MaxTime(s.floor, frontier)
 }
 
 // Covered returns the total length of the union of all intervals.
 func (s *IntervalSet) Covered() Time {
-	if len(s.spans) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		s.compact()
-	}
-	var total Time
-	for _, sp := range s.spans {
+	total := s.folded
+	for _, sp := range s.live {
 		total += sp.end - sp.start
 	}
 	return total
@@ -146,8 +93,5 @@ func (s *IntervalSet) Utilization(spanLen Time) float64 {
 	return u
 }
 
-// Reset empties the set, keeping its storage for reuse.
-func (s *IntervalSet) Reset() { s.spans = s.spans[:0]; s.sorted = false; s.nextCompact = 0 }
-
-// Len reports the current (possibly unmerged) interval count, for tests.
-func (s *IntervalSet) Len() int { return len(s.spans) }
+// Len reports the live (not yet folded) interval count.
+func (s *IntervalSet) Len() int { return len(s.live) }

@@ -59,8 +59,8 @@ func TestIntervalSetAddAfterCovered(t *testing.T) {
 	if s.Covered() != 10 {
 		t.Fatal("setup")
 	}
-	// Adding after a lazy merge must still work, both appending and
-	// overlapping.
+	// Covered must not disturb the set: later adds still append and
+	// overlap.
 	s.Add(20, 30)
 	s.Add(25, 40)
 	s.Add(5, 6)
@@ -83,72 +83,91 @@ func TestIntervalSetUtilization(t *testing.T) {
 	}
 }
 
-func TestIntervalSetReset(t *testing.T) {
+func TestIntervalSetAddBelowFloorPanics(t *testing.T) {
 	var s IntervalSet
 	s.Add(0, 10)
-	s.Reset()
-	if s.Covered() != 0 {
-		t.Fatal("Reset did not clear")
+	s.Add(20, 30)
+	s.Fold(25)
+	if got := s.Covered(); got != 20 || s.Len() != 1 {
+		t.Fatalf("after Fold(25): Covered = %v, Len = %d, want 20, 1", got, s.Len())
 	}
+	s.Add(25, 26) // at the frontier is fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add starting before the fold frontier must panic")
+		}
+	}()
+	s.Add(24, 40)
 }
 
 // Property: Covered matches a brute-force union over arbitrary interval
 // sequences.
 func TestIntervalSetMatchesBruteForceProperty(t *testing.T) {
-	type iv struct{ s, e Time }
 	f := func(raw []uint16) bool {
 		var set IntervalSet
-		var ivs []iv
+		var ivs [][2]Time
 		for _, r := range raw {
 			start := Time(r % 199)
 			end := start + Time(r%31)
 			set.Add(start, end)
 			if end > start {
-				ivs = append(ivs, iv{start, end})
+				ivs = append(ivs, [2]Time{start, end})
 			}
 		}
-		// Brute force: merge sorted intervals.
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].s < ivs[j].s })
-		var want Time
-		var cur iv
-		for i, v := range ivs {
-			if i == 0 {
-				cur = v
-				continue
-			}
-			if v.s <= cur.e {
-				if v.e > cur.e {
-					cur.e = v.e
-				}
-				continue
-			}
-			want += cur.e - cur.s
-			cur = v
-		}
-		if len(ivs) > 0 {
-			want += cur.e - cur.s
-		}
-		return set.Covered() == want
+		return set.Covered() == bruteCovered(ivs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: interleaving Covered() calls with Adds never changes the result.
-func TestIntervalSetLazyMergeStableProperty(t *testing.T) {
-	f := func(raw []uint16, probe uint8) bool {
-		var a, b IntervalSet
-		for i, r := range raw {
-			start := Time(r % 97)
-			end := start + Time(r%17) + 1
-			a.Add(start, end)
-			b.Add(start, end)
-			if i%int(probe%5+1) == 0 {
-				_ = b.Covered() // force intermediate merges
+// bruteCovered is the union length of ivs by merging them in start order.
+func bruteCovered(ivs [][2]Time) Time {
+	ivs = append([][2]Time(nil), ivs...)
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i][0] < ivs[j][0] })
+	var want Time
+	var cur [2]Time
+	for i, v := range ivs {
+		if i > 0 && v[0] <= cur[1] {
+			cur[1] = MaxTime(cur[1], v[1])
+			continue
+		}
+		if i > 0 {
+			want += cur[1] - cur[0]
+		}
+		cur = v
+	}
+	if len(ivs) > 0 {
+		want += cur[1] - cur[0]
+	}
+	return want
+}
+
+// Property: folding behind a rising frontier never changes the union. Spans
+// start anywhere at or above the current frontier (so they may overlap live
+// spans, or land before them), the frontier rises between adds, and Covered
+// matches the brute-force union after every step.
+func TestIntervalSetFoldMatchesBruteForceProperty(t *testing.T) {
+	f := func(raw []uint16) bool {
+		var set IntervalSet
+		var ivs [][2]Time
+		var frontier Time
+		for _, r := range raw {
+			start := frontier + Time(r%53)
+			end := start + Time(r%29)
+			set.Add(start, end)
+			if end > start {
+				ivs = append(ivs, [2]Time{start, end})
+			}
+			if r%3 == 0 {
+				frontier += Time(r % 11)
+				set.Fold(frontier)
+			}
+			if set.Covered() != bruteCovered(ivs) {
+				return false
 			}
 		}
-		return a.Covered() == b.Covered()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

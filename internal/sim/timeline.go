@@ -8,7 +8,6 @@ package sim
 type Timeline struct {
 	free Time // the instant the resource next becomes idle
 	busy Time // total time the resource has spent occupied
-	used bool // whether the resource was ever acquired
 }
 
 // Acquire books the resource for dur starting no earlier than at. It returns
@@ -18,7 +17,6 @@ func (tl *Timeline) Acquire(at, dur Time) (start, end Time) {
 	end = start + dur
 	tl.free = end
 	tl.busy += dur
-	tl.used = true
 	return start, end
 }
 
@@ -27,9 +25,6 @@ func (tl *Timeline) FreeAt() Time { return tl.free }
 
 // Busy reports the accumulated occupied time.
 func (tl *Timeline) Busy() Time { return tl.busy }
-
-// Used reports whether the resource served any work at all.
-func (tl *Timeline) Used() bool { return tl.used }
 
 // Reset returns the timeline to its initial idle state.
 func (tl *Timeline) Reset() { *tl = Timeline{} }

@@ -30,9 +30,6 @@ func TestTimelineBusyAccounting(t *testing.T) {
 	if tl.Busy() != 30 {
 		t.Fatalf("Busy = %v, want 30", tl.Busy())
 	}
-	if !tl.Used() {
-		t.Fatal("Used must be true after acquires")
-	}
 	if got := tl.Utilization(100); got != 0.3 {
 		t.Fatalf("Utilization(100) = %v, want 0.3", got)
 	}
@@ -53,7 +50,7 @@ func TestTimelineReset(t *testing.T) {
 	var tl Timeline
 	tl.Acquire(0, 10)
 	tl.Reset()
-	if tl.Busy() != 0 || tl.FreeAt() != 0 || tl.Used() {
+	if tl.Busy() != 0 || tl.FreeAt() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }

@@ -316,20 +316,30 @@ func EncodeJSON(w io.Writer, v interface{}) error {
 	return enc.Encode(v)
 }
 
-// DecodeBlockJSON reads a JSON array of block ops.
+// DecodeBlockJSON reads a JSON array of block ops, rejecting unknown kinds.
 func DecodeBlockJSON(r io.Reader) ([]BlockOp, error) {
 	var ops []BlockOp
 	if err := json.NewDecoder(r).Decode(&ops); err != nil {
 		return nil, err
 	}
+	for i, op := range ops {
+		if err := checkKind(int64(i), uint8(op.Kind)); err != nil {
+			return nil, err
+		}
+	}
 	return ops, nil
 }
 
-// DecodePosixJSON reads a JSON array of POSIX ops.
+// DecodePosixJSON reads a JSON array of POSIX ops, rejecting unknown kinds.
 func DecodePosixJSON(r io.Reader) ([]PosixOp, error) {
 	var ops []PosixOp
 	if err := json.NewDecoder(r).Decode(&ops); err != nil {
 		return nil, err
+	}
+	for i, op := range ops {
+		if err := checkKind(int64(i), uint8(op.Kind)); err != nil {
+			return nil, err
+		}
 	}
 	return ops, nil
 }

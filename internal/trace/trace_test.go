@@ -243,6 +243,17 @@ func TestDecodeJSONErrors(t *testing.T) {
 	}
 }
 
+func TestDecodeJSONRejectsUnknownKind(t *testing.T) {
+	const block = `[{"kind":0,"offset":0,"size":4096},{"kind":7,"offset":4096,"size":4096}]`
+	if _, err := DecodeBlockJSON(strings.NewReader(block)); err == nil || !strings.Contains(err.Error(), "record 1: unknown kind 7") {
+		t.Errorf("block op of kind 7: err = %v, want an unknown-kind error for record 1", err)
+	}
+	const posix = `[{"kind":3,"offset":0,"size":10}]`
+	if _, err := DecodePosixJSON(strings.NewReader(posix)); err == nil || !strings.Contains(err.Error(), "record 0: unknown kind 3") {
+		t.Errorf("POSIX op of kind 3: err = %v, want an unknown-kind error for record 0", err)
+	}
+}
+
 // header is a bare trace header: magic plus a record count and no records.
 func header(magic [8]byte, n int64) []byte {
 	var buf bytes.Buffer
