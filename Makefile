@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt fuzz cover bench bench-smoke bench-gate benchdiff profile simcheck chaos
+.PHONY: all build vet test race check fmt fuzz cover bench bench-smoke profile simcheck chaos
 FUZZTIME ?= 10s
 
 all: check
@@ -34,41 +34,20 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCkptTornWrite -fuzztime=$(FUZZTIME) ./internal/ckpt
 	$(GO) test -run=^$$ -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/check
 
-# One pass over every figure/table benchmark, archived as JSON for diffing
-# between commits and appended to the continuous-bench history the HTML
-# report's trajectory sparklines read. -benchtime=1x because each whole-figure
-# benchmark already runs the full evaluation matrix once.
+# One pass over every figure/table benchmark, printed. -benchtime=1x because
+# each whole-figure benchmark already runs the full evaluation matrix once.
+# Host cost is measured by the repository benchmark (bash bench/run.sh, see
+# bench/README.md); allocation growth is caught by go test
+# (TestCellAllocCeiling and the AllocsPerRun pins).
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x . \
-		| $(GO) run ./cmd/benchjson -history BENCH_history.jsonl > BENCH_results.json
-	@echo "wrote BENCH_results.json (history in BENCH_history.jsonl)"
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x .
 
-# Quick subset of the figure benchmarks for CI smoke runs: enough to catch a
-# perf or allocation regression without replaying every evaluation matrix.
+# Quick subset of the figure benchmarks for CI smoke runs: proves they still
+# run without replaying every evaluation matrix.
 BENCH_SMOKE = Fig7aBandwidth|Fig10Breakdown|SimulatorPageThroughput|TelemetrySampling
 bench-smoke:
 	$(GO) test -run='^$$' -benchmem -benchtime=1x \
-		-bench='$(BENCH_SMOKE)' . \
-		| $(GO) run ./cmd/benchjson > bench_smoke.json
-	@echo "wrote bench_smoke.json"
-
-# Continuous-bench gate: re-run the smoke benchmarks -count=3 (benchjson keeps
-# the min, so scheduler noise only helps), then fail if allocation counts grew
-# beyond 5% over the checked-in baseline. The time gate is disabled (-1):
-# wall-clock numbers are not comparable across machines, allocation counts
-# are deterministic.
-bench-gate:
-	$(GO) test -run='^$$' -benchmem -benchtime=1x -count=3 \
-		-bench='$(BENCH_SMOKE)' . \
-		| $(GO) run ./cmd/benchjson -history BENCH_history.jsonl > bench_smoke.json
-	$(GO) run ./cmd/benchdiff -time-threshold=-1 -alloc-threshold=0.05 \
-		BENCH_results.json bench_smoke.json
-
-# Compare two archived bench runs by hand: make benchdiff OLD=a.json NEW=b.json
-OLD ?= BENCH_results.json
-NEW ?= bench_smoke.json
-benchdiff:
-	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
+		-bench='$(BENCH_SMOKE)' .
 
 # CPU + allocation profile of a representative attributed replay; inspect
 # with `go tool pprof profile/cpu.pprof` (or mem.pprof).

@@ -75,14 +75,41 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 	default:
 		return fmt.Errorf("unknown bus %q", busName)
 	}
-	pg := interconnect.PCIeGen2
-	if gen == 3 {
+	var pg interconnect.PCIeGen
+	switch gen {
+	case 2:
+		pg = interconnect.PCIeGen2
+	case 3:
 		pg = interconnect.PCIeGen3
+	default:
+		return fmt.Errorf("-pcie %d: want 2 or 3", gen)
+	}
+	if lanes < 1 {
+		return fmt.Errorf("-lanes %d: want at least 1", lanes)
 	}
 	pcie := interconnect.PCIeConfig{Gen: pg, Lanes: lanes, Bridged: bridged}
+	var opKind trace.Kind
+	switch kind {
+	case "read":
+		opKind = trace.Read
+	case "write":
+		opKind = trace.Write
+	default:
+		return fmt.Errorf("-op %q: want read or write", kind)
+	}
+	if pattern != "seq" && pattern != "rand" {
+		return fmt.Errorf("-pattern %q: want seq or rand", pattern)
+	}
+	if count < 1 {
+		return fmt.Errorf("-n %d: want at least 1", count)
+	}
 
 	geo := nvm.PaperGeometry()
 	cp := nvm.Params(cell)
+	capacity := geo.Capacity(cp)
+	if reqKiB < 1 || reqKiB > capacity>>10 {
+		return fmt.Errorf("-req %d: want 1 to %d KiB (the device capacity)", reqKiB, capacity>>10)
+	}
 	col := exp.Collector()
 	samp := exp.Sampler()
 	rec := exp.Recorder(col)
@@ -107,12 +134,7 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 		return err
 	}
 
-	opKind := trace.Read
-	if kind == "write" {
-		opKind = trace.Write
-	}
 	rng := sim.NewRNG(seed)
-	capacity := geo.Capacity(cp)
 	req := reqKiB << 10
 	var ops []trace.BlockOp
 	off := int64(0)
@@ -128,6 +150,11 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 	endReplay := host.Phase("replay")
 	res := drive.Replay(ops)
 	endReplay()
+	// nvmsim injects no faults, so any error (a request crossing the end of
+	// the device) means the bandwidth is not the workload's: fail the run.
+	if err := drive.Err(); err != nil {
+		return fmt.Errorf("%s, %s, %s: %w", cell, bus.Name, pcie, err)
+	}
 
 	fmt.Fprintf(out, "device: %s, %s, %s, %d ch x %d pkg x %d dies, %d planes/die\n",
 		cell, bus.Name, pcie, geo.Channels, geo.Packages(), geo.Dies(), cp.Planes)

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"oocnvm/internal/obs/export"
+	"oocnvm/internal/ssd"
 )
 
 func TestNvmsimSmoke(t *testing.T) {
@@ -37,11 +39,61 @@ func TestNvmsimWritePattern(t *testing.T) {
 }
 
 func TestNvmsimRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run("QLC", "sdr", 2, 8, true, "seq", "read", 64, 1, 0, 8, 1, export.Flags{}, &out); err == nil {
-		t.Fatal("unknown cell accepted")
+	type flags struct {
+		cell, bus     string
+		gen, lanes    int
+		pattern, kind string
+		reqKiB        int64
+		count         int
 	}
-	if err := run("SLC", "qdr", 2, 8, true, "seq", "read", 64, 1, 0, 8, 1, export.Flags{}, &out); err == nil {
-		t.Fatal("unknown bus accepted")
+	try := func(f flags) error {
+		var out bytes.Buffer
+		return run(f.cell, f.bus, f.gen, f.lanes, true, f.pattern, f.kind, f.reqKiB, f.count, 0, 8, 1, export.Flags{}, &out)
+	}
+	good := flags{"SLC", "sdr", 2, 8, "seq", "read", 64, 1}
+	if err := try(good); err != nil {
+		t.Fatalf("baseline flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*flags)
+		flag   string // the flag the error must name; empty for none
+	}{
+		{"unknown cell", func(f *flags) { f.cell = "QLC" }, ""},
+		{"unknown bus", func(f *flags) { f.bus = "qdr" }, ""},
+		{"pcie gen 7", func(f *flags) { f.gen = 7 }, "-pcie"},
+		{"zero lanes", func(f *flags) { f.lanes = 0 }, "-lanes"},
+		{"trim op", func(f *flags) { f.kind = "trim" }, "-op"},
+		{"zig pattern", func(f *flags) { f.pattern = "zig" }, "-pattern"},
+		{"zero request", func(f *flags) { f.reqKiB = 0 }, "-req"},
+		{"request above capacity", func(f *flags) { f.reqKiB = 999999999 }, "-req"},
+		{"random request above capacity", func(f *flags) { f.pattern, f.reqKiB = "rand", 999999999 }, "-req"},
+		{"zero requests", func(f *flags) { f.count = 0 }, "-n"},
+	} {
+		f := good
+		tc.mutate(&f)
+		if err := try(f); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.flag)
+		}
+	}
+}
+
+// TestNvmsimFailsOnDriveError pins that a sequential run whose last request
+// crosses the end of the device fails rather than reporting the bandwidth of
+// the requests that fit.
+func TestNvmsimFailsOnDriveError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads the whole 64 GiB SLC device")
+	}
+	var out bytes.Buffer
+	// Request 22369 starts 1,864 KiB before the end and reads 3,000 KiB.
+	err := run("SLC", "sdr", 2, 8, true, "seq", "read", 3000, 22370, 0, 32, 1, export.Flags{}, &out)
+	if !errors.Is(err, ssd.ErrOutOfRange) {
+		t.Fatalf("error = %v, want ssd.ErrOutOfRange", err)
+	}
+	if strings.Contains(out.String(), "bandwidth") {
+		t.Errorf("failed run printed a bandwidth:\n%s", out.String())
 	}
 }

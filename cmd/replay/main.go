@@ -220,6 +220,11 @@ func run(o options, w io.Writer) (retErr error) {
 		res = drive.Replay(ops)
 	}
 	endReplay()
+	// A fault-free drive has no reason to reject an op, so its first error
+	// means the bandwidth is not the trace's: fail the run.
+	if err := drive.Err(); err != nil && sc.Fault == nil {
+		return fmt.Errorf("%s/%s: %w", cfg.Name, cell, err)
+	}
 	lat := drive.Dev.Latency()
 
 	fmt.Fprintf(w, "config: %s on %s (%s, %s)\n", cfg.Name, cell, cfg.PCIe, cfg.Bus.Name)

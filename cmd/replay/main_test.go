@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"oocnvm/internal/obs/export"
+	"oocnvm/internal/ssd"
 	"oocnvm/internal/trace"
 )
 
@@ -33,6 +35,28 @@ func writeTestTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestReplayFailsFaultFreeDriveErrors pins that a fault-free run whose drive
+// rejected an op fails instead of printing the bandwidth of the ops that ran,
+// and that a negative queue depth is refused rather than clamped.
+func TestReplayFailsFaultFreeDriveErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "oob.json")
+	oob := `[{"kind":0,"offset":0,"size":1048576},{"kind":0,"offset":4611686018427387904,"size":1048576}]`
+	if err := os.WriteFile(path, []byte(oob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run(options{file: path, asJSON: true, cfgName: "CNL-UFS", cellName: "TLC", qd: 32, seed: 42}, &out)
+	if !errors.Is(err, ssd.ErrOutOfRange) {
+		t.Fatalf("out-of-range replay error = %v, want ssd.ErrOutOfRange", err)
+	}
+	if strings.Contains(out.String(), "bandwidth") {
+		t.Errorf("failed replay printed a bandwidth:\n%s", out.String())
+	}
+	if err := run(options{file: writeTestTrace(t), cfgName: "CNL-EXT4", cellName: "TLC", qd: -2, seed: 42}, &out); err == nil {
+		t.Error("negative queue depth accepted")
+	}
 }
 
 // TestReplayObservabilityEndToEnd drives the full replay pipeline with both

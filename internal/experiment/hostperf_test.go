@@ -10,29 +10,45 @@ import (
 )
 
 // TestCellAllocCeiling pins the heap objects one whole evaluation cell
-// allocates: TestOptions CNL-EXT4/TLC, from trace generation through the
-// drained replay. It measures ~5k objects. The steady-state AllocsPerRun pins
-// catch a single new allocation on one hot path; this ceiling catches growth
-// anywhere else in the cell. Find the culprit with -memprofile.
+// allocates, from trace generation through the drained replay, on TestOptions.
+// Each row drives a different translation path: CNL-EXT4/TLC the FTL,
+// CNL-UFS/PCM the UFS transform and ssd.Direct, ION-GPFS/TLC GPFS striping
+// over the ION link. The steady-state AllocsPerRun pins catch a single new
+// allocation on one hot path; these ceilings catch growth anywhere else in a
+// cell. Find the culprit with -memprofile. The rows run serially because
+// runtime.MemStats counts the whole process.
 func TestCellAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ceiling runs a full evaluation cell")
 	}
 	opt := TestOptions()
 	opt.MeasureRemaining = false
-	cfg, err := FindConfig("CNL-EXT4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Run(cfg, nvm.TLC, opt); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	const ceiling = 20_000
-	if got := after.Mallocs - before.Mallocs; got > ceiling {
-		t.Errorf("evaluation cell allocated %d objects, ceiling %d", got, ceiling)
+	for _, tc := range []struct {
+		config  string
+		cell    nvm.CellType
+		ceiling uint64 // measured counts in comments
+	}{
+		{"CNL-EXT4", nvm.TLC, 20_000}, // ~4.7k
+		{"CNL-UFS", nvm.PCM, 2_850},   // ~1.9k
+		{"ION-GPFS", nvm.TLC, 6_950},  // ~4.7k
+	} {
+		t.Run(tc.config+"/"+tc.cell.String(), func(t *testing.T) {
+			cfg, err := FindConfig(tc.config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(cfg, tc.cell, opt); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got := after.Mallocs - before.Mallocs
+			t.Logf("allocated %d objects", got)
+			if got > tc.ceiling {
+				t.Errorf("evaluation cell allocated %d objects, ceiling %d", got, tc.ceiling)
+			}
+		})
 	}
 }
 

@@ -1,21 +1,19 @@
 // Package export is the shared observability flag plumbing of the CLIs.
 // Every command takes the same observability flags (-trace-out,
 // -metrics-out, -report-out, -sample-us, -attrib, -attrib-out, -attrib-top,
-// -hostperf, -hostperf-out, -hostperf-history, -cpuprofile, -memprofile);
+// -hostperf, -hostperf-out, -cpuprofile, -memprofile);
 // this package registers them once, builds the collector/sampler/recorder
 // set they imply, and writes every requested artifact the same way —
 // instead of each main duplicating the logic.
 package export
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"oocnvm/internal/obs"
@@ -52,9 +50,6 @@ type Flags struct {
 	// HostPerfOut writes the host-performance summary to a file (JSON, or
 	// CSV with a .csv suffix). Implies host collection like HostPerf.
 	HostPerfOut string
-	// HostPerfHistory names a benchjson -history JSONL file; its per-run
-	// ns/op trajectories become the report's benchmark sparklines.
-	HostPerfHistory string
 	// CPUProfile/MemProfile write runtime/pprof profiles of the process
 	// (real compute, not simulated time) for the zero-alloc work.
 	CPUProfile string
@@ -85,8 +80,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 		"print the per-phase host cost (wall, cpu, allocs, GC); one phase per matrix cell (runs cells serially)")
 	fs.StringVar(&f.HostPerfOut, "hostperf-out", "",
 		"write the host-performance summary (JSON, or CSV with a .csv suffix)")
-	fs.StringVar(&f.HostPerfHistory, "hostperf-history", "",
-		"benchjson -history JSONL file feeding the report's benchmark-trajectory sparklines")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "",
 		"write a runtime/pprof CPU profile of the process to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "",
@@ -266,13 +259,6 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 			return err
 		}
 	}
-	if f.HostPerfHistory != "" && f.ReportOut != "" {
-		trend, err := LoadBenchTrend(f.HostPerfHistory)
-		if err != nil {
-			return err
-		}
-		info.HostTrend = trend
-	}
 	if f.ReportOut != "" {
 		dump := timeseries.Dump{}
 		if samp != nil {
@@ -376,69 +362,4 @@ func (f *HostFlags) Write(w io.Writer, host *hostperf.Collector) error {
 		return nil
 	}
 	return writeHostSummary(w, host.Summary(), f.HostPerf, f.HostPerfOut)
-}
-
-// LoadBenchTrend parses a benchjson -history JSONL file (one recorded run
-// per line, oldest first) into report trend series: one ns/op trajectory per
-// benchmark, benchmarks in sorted-name order. Runs missing a benchmark
-// simply contribute no point to its series.
-func LoadBenchTrend(path string) ([]report.TrendSeries, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	type histResult struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-	}
-	type histEntry struct {
-		Date    string       `json:"date"`
-		GitSHA  string       `json:"git_sha"`
-		Results []histResult `json:"results"`
-	}
-	var entries []histEntry
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var e histEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			return nil, fmt.Errorf("export: %s line %d: %w", path, i+1, err)
-		}
-		entries = append(entries, e)
-	}
-	var names []string
-	seen := make(map[string]bool)
-	for _, e := range entries {
-		for _, r := range e.Results {
-			if !seen[r.Name] {
-				seen[r.Name] = true
-				names = append(names, r.Name)
-			}
-		}
-	}
-	sort.Strings(names)
-	out := make([]report.TrendSeries, 0, len(names))
-	for _, name := range names {
-		s := report.TrendSeries{Name: name, Unit: "ns/op"}
-		for _, e := range entries {
-			for _, r := range e.Results {
-				if r.Name != name {
-					continue
-				}
-				label := e.GitSHA
-				if len(label) > 7 {
-					label = label[:7]
-				}
-				if label == "" {
-					label = e.Date
-				}
-				s.Points = append(s.Points, report.TrendPoint{Label: label, Value: r.NsPerOp})
-				break
-			}
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

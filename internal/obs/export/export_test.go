@@ -377,47 +377,6 @@ func TestReportBytesIdenticalWithoutHost(t *testing.T) {
 	}
 }
 
-func TestLoadBenchTrend(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hist.jsonl")
-	lines := []string{
-		`{"date":"2026-08-01T00:00:00Z","git_sha":"aaaaaaaabbbb","results":[{"name":"BenchmarkA","ns_per_op":100},{"name":"BenchmarkB","ns_per_op":50}]}`,
-		`{"date":"2026-08-02T00:00:00Z","git_sha":"ccccccccdddd","results":[{"name":"BenchmarkA","ns_per_op":120}]}`,
-	}
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	trend, err := LoadBenchTrend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trend) != 2 {
-		t.Fatalf("got %d series, want 2", len(trend))
-	}
-	a := trend[0]
-	if a.Name != "BenchmarkA" || len(a.Points) != 2 {
-		t.Fatalf("series A wrong: %+v", a)
-	}
-	if a.Points[0].Value != 100 || a.Points[1].Value != 120 {
-		t.Errorf("series A values %+v, want [100 120]", a.Points)
-	}
-	if a.Points[0].Label != "aaaaaaa" {
-		t.Errorf("label %q, want 7-char SHA", a.Points[0].Label)
-	}
-	if b := trend[1]; b.Name != "BenchmarkB" || len(b.Points) != 1 {
-		t.Fatalf("series B wrong: %+v", b)
-	}
-
-	if _, err := LoadBenchTrend(filepath.Join(dir, "missing.jsonl")); err == nil {
-		t.Fatal("missing history accepted")
-	}
-	bad := filepath.Join(dir, "bad.jsonl")
-	os.WriteFile(bad, []byte("not json\n"), 0o644)
-	if _, err := LoadBenchTrend(bad); err == nil {
-		t.Fatal("malformed history accepted")
-	}
-}
-
 func TestHostFlagsWrite(t *testing.T) {
 	var hf HostFlags
 	var out bytes.Buffer

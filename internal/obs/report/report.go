@@ -37,24 +37,6 @@ type RunInfo struct {
 	// without -hostperf carry a nil Host and stay byte-identical to
 	// pre-hostperf reports.
 	Host *hostperf.Summary
-	// HostTrend, when set, adds benchmark-trajectory sparklines (one series
-	// per benchmark recorded in a bench history file) to the
-	// host-performance section.
-	HostTrend []TrendSeries
-}
-
-// TrendPoint is one historical benchmark observation.
-type TrendPoint struct {
-	Label string  // run identity (short git SHA or date)
-	Value float64 // the tracked metric, ns/op unless Unit says otherwise
-}
-
-// TrendSeries is one benchmark's trajectory across recorded runs, oldest
-// first.
-type TrendSeries struct {
-	Name   string
-	Unit   string
-	Points []TrendPoint
 }
 
 // chart geometry (SVG user units).
@@ -81,7 +63,7 @@ func WriteHTML(w io.Writer, info RunInfo, snap obs.Snapshot, dump timeseries.Dum
 	writeAttrib(&b, info.Attrib)
 	writeLatencyTable(&b, snap)
 	writeCounters(&b, snap)
-	writeHostPerf(&b, info.Host, info.HostTrend)
+	writeHostPerf(&b, info.Host)
 	if info.FaultSummary != "" {
 		fmt.Fprintf(&b, "<section><h2>Fault summary</h2><pre>%s</pre></section>\n",
 			html.EscapeString(info.FaultSummary))
@@ -610,21 +592,13 @@ func fmtBytes(n int64) string {
 }
 
 // writeHostPerf renders the host-performance section: what the simulator
-// process itself cost to produce this run — per-phase resource table and
-// (when a bench history is supplied) the benchmark-trajectory sparklines.
+// process itself cost to produce this run, as a per-phase resource table.
 // Entirely absent when the run was not driven with -hostperf.
-func writeHostPerf(b *strings.Builder, host *hostperf.Summary, trend []TrendSeries) {
-	if host == nil && len(trend) == 0 {
+func writeHostPerf(b *strings.Builder, host *hostperf.Summary) {
+	if host == nil {
 		return
 	}
 	b.WriteString("<h2>Host performance</h2>\n")
-	if host != nil {
-		writeHostPhases(b, host)
-	}
-	writeHostTrend(b, trend)
-}
-
-func writeHostPhases(b *strings.Builder, host *hostperf.Summary) {
 	b.WriteString("<section class=\"card\">\n<p class=\"chart-title\">Per-phase host cost</p>\n<p class=\"chart-sub\">wall-clock resources of the simulator process, per run phase</p>\n<table>\n")
 	b.WriteString("<tr><th>phase</th><th class=\"num\">wall</th><th class=\"num\">cpu</th><th class=\"num\">allocs</th><th class=\"num\">alloc bytes</th><th class=\"num\">gc</th><th class=\"num\">pause</th></tr>\n")
 	row := func(p hostperf.PhaseCost) {
@@ -640,83 +614,6 @@ func writeHostPhases(b *strings.Builder, host *hostperf.Summary) {
 	}
 	row(host.Total)
 	b.WriteString("</table></section>\n")
-}
-
-// sparkline geometry (SVG user units).
-const (
-	sparkW = 160
-	sparkH = 28
-	sparkP = 3 // inner padding
-)
-
-// writeHostTrend renders one sparkline row per benchmark from the recorded
-// history, oldest run at the left.
-func writeHostTrend(b *strings.Builder, trend []TrendSeries) {
-	if len(trend) == 0 {
-		return
-	}
-	b.WriteString("<section class=\"card\">\n<p class=\"chart-title\">Benchmark trajectory</p>\n<p class=\"chart-sub\">per recorded run, oldest to newest</p>\n<table>\n")
-	b.WriteString("<tr><th>benchmark</th><th>trend</th><th class=\"num\">first</th><th class=\"num\">last</th></tr>\n")
-	for _, s := range trend {
-		if len(s.Points) == 0 {
-			continue
-		}
-		first, last := s.Points[0], s.Points[len(s.Points)-1]
-		fmt.Fprintf(b, "<tr><td>%s</td><td>", html.EscapeString(s.Name))
-		writeSparkline(b, s)
-		unit := s.Unit
-		if unit == "" {
-			unit = "ns/op"
-		}
-		fmt.Fprintf(b, "</td><td class=\"num\">%s</td><td class=\"num\">%s</td></tr>\n",
-			html.EscapeString(fmt.Sprintf("%.4g %s", first.Value, unit)),
-			html.EscapeString(fmt.Sprintf("%.4g %s", last.Value, unit)))
-	}
-	b.WriteString("</table></section>\n")
-}
-
-func writeSparkline(b *strings.Builder, s TrendSeries) {
-	fmt.Fprintf(b, "<svg viewBox=\"0 0 %d %d\" style=\"width:%dpx;height:%dpx;display:inline-block;vertical-align:middle\" role=\"img\" aria-label=\"%s trend\">\n",
-		sparkW, sparkH, sparkW, sparkH, html.EscapeString(s.Name))
-	var hi float64
-	for _, p := range s.Points {
-		if p.Value > hi {
-			hi = p.Value
-		}
-	}
-	if hi == 0 {
-		hi = 1
-	}
-	x := func(i int) float64 {
-		if len(s.Points) == 1 {
-			return sparkW / 2
-		}
-		return sparkP + float64(i)/float64(len(s.Points)-1)*float64(sparkW-2*sparkP)
-	}
-	y := func(v float64) float64 {
-		return float64(sparkH-sparkP) - v/hi*float64(sparkH-2*sparkP)
-	}
-	if len(s.Points) == 1 {
-		p := s.Points[0]
-		fmt.Fprintf(b, "<circle cx=\"%s\" cy=\"%s\" r=\"2.5\" fill=\"var(--series-1)\"><title>%s  %.4g</title></circle>\n",
-			f2(x(0)), f2(y(p.Value)), html.EscapeString(p.Label), p.Value)
-	} else {
-		b.WriteString("<polyline fill=\"none\" stroke=\"var(--series-1)\" stroke-width=\"1.5\" stroke-linejoin=\"round\" points=\"")
-		for i, p := range s.Points {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(b, "%s,%s", f2(x(i)), f2(y(p.Value)))
-		}
-		b.WriteString("\"/>\n")
-		// Hover targets: one slice per recorded run.
-		bw := float64(sparkW) / float64(len(s.Points))
-		for i, p := range s.Points {
-			fmt.Fprintf(b, "<rect x=\"%s\" y=\"0\" width=\"%s\" height=\"%d\" fill=\"transparent\"><title>%s  %.4g</title></rect>\n",
-				f2(float64(i)*bw), f2(bw), sparkH, html.EscapeString(p.Label), p.Value)
-		}
-	}
-	b.WriteString("</svg>")
 }
 
 // fmtByteCount renders a byte total with a binary unit, one decimal.

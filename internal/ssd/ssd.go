@@ -276,9 +276,11 @@ type Config struct {
 	Link       nvm.Link
 	Translator Translator
 	// QueueDepth bounds concurrently outstanding block requests (NCQ-style).
+	// Zero means DefaultQueueDepth; New rejects a negative depth.
 	QueueDepth int
 	// WindowBytes bounds in-flight data (the host readahead window). Zero
-	// means unlimited (bounded by QueueDepth only).
+	// means unlimited (bounded by QueueDepth only); New rejects a negative
+	// window.
 	WindowBytes int64
 	// HostOverhead is the host CPU cost of issuing one block request
 	// (syscall, block-layer, driver).
@@ -369,6 +371,12 @@ func (s *SSD) SetProbe(p obs.Probe) {
 func New(cfg Config) (*SSD, error) {
 	if cfg.Translator == nil {
 		return nil, fmt.Errorf("ssd: config requires a Translator")
+	}
+	if cfg.QueueDepth < 0 {
+		return nil, fmt.Errorf("ssd: queue depth %d is negative", cfg.QueueDepth)
+	}
+	if cfg.WindowBytes < 0 {
+		return nil, fmt.Errorf("ssd: window of %d bytes is negative", cfg.WindowBytes)
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth

@@ -38,10 +38,16 @@ func newSSD(t *testing.T, cfg Config) *SSD {
 }
 
 func TestNewRequiresTranslator(t *testing.T) {
-	cfg := testConfig(nvm.SLC)
-	cfg.Translator = nil
-	if _, err := New(cfg); err == nil {
-		t.Fatal("nil translator accepted")
+	for name, mutate := range map[string]func(*Config){
+		"nil translator":  func(c *Config) { c.Translator = nil },
+		"negative depth":  func(c *Config) { c.QueueDepth = -2 },
+		"negative window": func(c *Config) { c.WindowBytes = -1 },
+	} {
+		cfg := testConfig(nvm.SLC)
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
