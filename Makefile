@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt fuzz cover bench bench-smoke profile simcheck chaos
+.PHONY: all build vet test race check fmt fuzz cover bench bench-smoke profile simcheck chaos examples
 FUZZTIME ?= 10s
 
 all: check
@@ -74,6 +74,14 @@ chaos:
 	$(GO) run ./cmd/replay -trace chaos.trace -config CNL-EXT4 -cell TLC \
 		-net-profile flaky -report-out chaos_report.html
 	@test -s chaos_report.html && echo "wrote chaos_report.html"
+
+# Run every example end to end. Each one checks its own result and exits
+# non-zero through log.Fatal on a mismatch, so building them is not enough.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 cover:
 	$(GO) test -cover ./... | tee coverage.txt

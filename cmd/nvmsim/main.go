@@ -53,18 +53,9 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 			retErr = perr
 		}
 	}()
-	var cell nvm.CellType
-	switch cellName {
-	case "SLC":
-		cell = nvm.SLC
-	case "MLC":
-		cell = nvm.MLC
-	case "TLC":
-		cell = nvm.TLC
-	case "PCM":
-		cell = nvm.PCM
-	default:
-		return fmt.Errorf("unknown cell type %q", cellName)
+	cell, err := nvm.ParseCell(cellName)
+	if err != nil {
+		return err
 	}
 	var bus nvm.BusParams
 	switch busName {

@@ -138,6 +138,18 @@ func main() {
 }
 
 func run(opt experiment.Options, fig, table string, summary, topology, distrib, energyFlag, cacheFlag, chart bool, samp *timeseries.Sampler, out io.Writer) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"-retention-days", opt.RetentionDays},
+		{"-precycle", float64(opt.PrecyclePE)},
+		{"-durable-ckpt", float64(opt.DurableCheckpointPages)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must not be negative, got %v", f.name, f.v)
+		}
+	}
 	cells := nvm.CellTypes
 
 	switch {

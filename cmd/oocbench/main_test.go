@@ -116,3 +116,34 @@ func TestOocbenchTopologyDegraded(t *testing.T) {
 		t.Error("degraded topology output not deterministic across runs")
 	}
 }
+
+// TestOocbenchRejectsBadFlags pins that wear, age and durability flags that
+// would silently change the answer fail naming the flag.
+func TestOocbenchRejectsBadFlags(t *testing.T) {
+	try := func(opt experiment.Options) error {
+		var out bytes.Buffer
+		return run(opt, "", "1", false, false, false, false, false, false, nil, &out)
+	}
+	good := testOptions()
+	good.RetentionDays, good.PrecyclePE, good.DurableCheckpointPages = 30, 3000, 1024
+	if err := try(good); err != nil {
+		t.Fatalf("baseline flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*experiment.Options)
+		flag   string
+	}{
+		{"negative retention", func(o *experiment.Options) { o.RetentionDays = -30 }, "-retention-days"},
+		{"negative precycle", func(o *experiment.Options) { o.PrecyclePE = -3000 }, "-precycle"},
+		{"negative checkpoint interval", func(o *experiment.Options) { o.DurableCheckpointPages = -5 }, "-durable-ckpt"},
+	} {
+		opt := good
+		tc.mutate(&opt)
+		if err := try(opt); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.flag)
+		}
+	}
+}

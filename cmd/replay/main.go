@@ -70,6 +70,19 @@ func run(o options, w io.Writer) (retErr error) {
 	if o.file == "" {
 		return fmt.Errorf("-trace is required (capture one with tracegen)")
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"-retention-days", o.retentionDays},
+		{"-precycle", float64(o.precycle)},
+		{"-spares", float64(o.spares)},
+		{"-durable-ckpt", float64(o.durableCkpt)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must not be negative, got %v", f.name, f.v)
+		}
+	}
 	stopProf, err := o.exp.StartProfiles()
 	if err != nil {
 		return err
@@ -99,18 +112,9 @@ func run(o options, w io.Writer) (retErr error) {
 		return err
 	}
 
-	var cell nvm.CellType
-	switch o.cellName {
-	case "SLC":
-		cell = nvm.SLC
-	case "MLC":
-		cell = nvm.MLC
-	case "TLC":
-		cell = nvm.TLC
-	case "PCM":
-		cell = nvm.PCM
-	default:
-		return fmt.Errorf("unknown cell type %q", o.cellName)
+	cell, err := nvm.ParseCell(o.cellName)
+	if err != nil {
+		return err
 	}
 	cfg, err := experiment.FindConfig(o.cfgName)
 	if err != nil {

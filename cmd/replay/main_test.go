@@ -59,6 +59,41 @@ func TestReplayFailsFaultFreeDriveErrors(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsBadFlags pins that flag values which would silently
+// change the answer fail naming the flag, and that cell names match in any
+// case.
+func TestReplayRejectsBadFlags(t *testing.T) {
+	good := options{
+		file: writeTestTrace(t), cfgName: "CNL-EXT4", cellName: "tlc", qd: 32, seed: 42,
+		faultProfile: "worn", retentionDays: 30, precycle: 3000, spares: 8, durableCkpt: 1024,
+	}
+	var out bytes.Buffer
+	if err := run(good, &out); err != nil {
+		t.Fatalf("baseline flags rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*options)
+		flag   string // the flag the error must name; empty for none
+	}{
+		{"negative retention", func(o *options) { o.retentionDays = -30 }, "-retention-days"},
+		{"negative precycle", func(o *options) { o.precycle = -3000 }, "-precycle"},
+		{"negative spares", func(o *options) { o.spares = -1 }, "-spares"},
+		{"negative checkpoint interval", func(o *options) { o.durableCkpt = -5 }, "-durable-ckpt"},
+		{"negative sample interval", func(o *options) { o.exp.SampleUS = -1 }, "-sample-us"},
+		{"negative exemplar count", func(o *options) { o.exp.AttribTop = -4 }, "-attrib-top"},
+		{"unknown cell", func(o *options) { o.cellName = "QLC" }, ""},
+	} {
+		o := good
+		tc.mutate(&o)
+		if err := run(o, &out); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.flag)
+		}
+	}
+}
+
 // TestReplayObservabilityEndToEnd drives the full replay pipeline with both
 // exports enabled and validates (a) the trace file is well-formed Chrome
 // trace_event JSON with spans from multiple layers, and (b) the exported

@@ -48,20 +48,6 @@ type options struct {
 	host          export.HostFlags
 }
 
-func cellForName(name string) (nvm.CellType, error) {
-	switch strings.ToUpper(name) {
-	case "SLC":
-		return nvm.SLC, nil
-	case "MLC":
-		return nvm.MLC, nil
-	case "TLC":
-		return nvm.TLC, nil
-	case "PCM":
-		return nvm.PCM, nil
-	}
-	return 0, fmt.Errorf("simcheck: unknown cell type %q (have SLC, MLC, TLC, PCM)", name)
-}
-
 // failure pairs a violation with enough context to reproduce it.
 type failure struct {
 	where string
@@ -71,6 +57,15 @@ type failure struct {
 }
 
 func run(opt options, out io.Writer) error {
+	// A sweep that does no work must not report a clean pass.
+	switch {
+	case opt.episodes < 1:
+		return fmt.Errorf("simcheck: -episodes must be at least 1, got %d", opt.episodes)
+	case opt.ops < 0:
+		return fmt.Errorf("simcheck: -ops must not be negative, got %d", opt.ops)
+	case opt.crashEvery < 0:
+		return fmt.Errorf("simcheck: -crash-every must not be negative, got %d", opt.crashEvery)
+	}
 	var configs []experiment.Config
 	for _, name := range strings.Split(opt.configs, ",") {
 		cfg, err := experiment.FindConfig(strings.TrimSpace(name))
@@ -81,7 +76,7 @@ func run(opt options, out io.Writer) error {
 	}
 	var cells []nvm.CellType
 	for _, name := range strings.Split(opt.cells, ",") {
-		c, err := cellForName(strings.TrimSpace(name))
+		c, err := nvm.ParseCell(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}

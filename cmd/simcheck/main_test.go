@@ -42,12 +42,32 @@ func TestSimcheckRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-func TestCellForName(t *testing.T) {
-	if c, err := cellForName("slc"); err != nil || c.String() != "SLC" {
-		t.Fatalf("slc -> %v, %v", c, err)
+// TestSimcheckRejectsBadFlags pins that a sweep which would do no work, or
+// silently fall back to a default, fails naming the flag instead of
+// reporting a clean pass.
+func TestSimcheckRejectsBadFlags(t *testing.T) {
+	good := options{episodes: 1, configs: "CNL-UFS", cells: "mlc", faultName: "none", seed: 1, ops: 64}
+	var out bytes.Buffer
+	if err := run(good, &out); err != nil {
+		t.Fatalf("baseline flags rejected: %v\n%s", err, out.String())
 	}
-	if _, err := cellForName("xlc"); err == nil {
-		t.Fatal("xlc accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*options)
+		flag   string
+	}{
+		{"zero episodes", func(o *options) { o.episodes = 0 }, "-episodes"},
+		{"negative episodes", func(o *options) { o.episodes = -1 }, "-episodes"},
+		{"negative ops", func(o *options) { o.ops = -5 }, "-ops"},
+		{"negative crash stride", func(o *options) { o.crashEvery = -1 }, "-crash-every"},
+	} {
+		o := good
+		tc.mutate(&o)
+		if err := run(o, &out); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.flag)
+		}
 	}
 }
 

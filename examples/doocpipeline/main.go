@@ -1,8 +1,8 @@
-// Doocpipeline: the middleware layer of §2.1 in action. A DataCutter-style
-// filter pipeline computes a blocked matrix-vector product while DOoC's data
-// pool keeps panels resident under a memory budget with prefetching, and the
-// data-aware scheduler orders a task DAG to maximize locality. The result is
-// verified against a direct computation.
+// Doocpipeline: DOoC, the middleware layer of §2.1, in action. DOoC's
+// data-aware scheduler runs a task DAG that computes a blocked matrix-vector
+// product one panel per task, ordering ready tasks to maximize locality,
+// while the data pool keeps panels resident under a memory budget with
+// prefetching. The result is verified against a direct computation.
 package main
 
 import (

@@ -91,14 +91,6 @@ func (c *BlockCache) HitRate() float64 {
 	return float64(c.hits) / float64(total)
 }
 
-// Resident reports cached bytes.
-func (c *BlockCache) Resident() int64 { return int64(c.lru.Len()) * c.blockSize }
-
-// Stats reports raw counters.
-func (c *BlockCache) Stats() (hits, misses, insertions int64) {
-	return c.hits, c.misses, c.insertions
-}
-
 // Study drives a block trace through a cache and converts the hit rate into
 // effective bandwidth given the fast (local NVM) and slow (remote) paths.
 type Study struct {
@@ -110,13 +102,6 @@ type Study struct {
 	HeatUp sim.Time
 }
 
-// RunStudy evaluates a cache architecture on a trace. workingSet is the
-// distinct byte footprint the workload cycles through; fastBW and slowBW are
-// the local-NVM and remote-path bandwidths.
-func RunStudy(ops []trace.BlockOp, capacity, blockSize, workingSet int64, fastBW, slowBW float64) (Study, error) {
-	return RunStudySampled(ops, capacity, blockSize, workingSet, fastBW, slowBW, nil)
-}
-
 // RegisterSeries registers the cache's time-resolved hit rate: per-interval
 // hits over per-interval accesses, the heat-up curve the paper's caching
 // critique is about.
@@ -126,8 +111,10 @@ func (c *BlockCache) RegisterSeries(ts *timeseries.Sampler) {
 		func(sim.Time) float64 { return float64(c.hits + c.misses) })
 }
 
-// RunStudySampled is RunStudy with optional time-resolved telemetry: each
-// byte advances a synthetic clock at the speed of the path it took (the same
+// RunStudySampled evaluates a cache architecture on a trace. workingSet is
+// the distinct byte footprint the workload cycles through; fastBW and slowBW
+// are the local-NVM and remote-path bandwidths. The study is optionally
+// time-resolved: each byte advances a synthetic clock at the speed of the path it took (the same
 // harmonic model the end-of-run bandwidth uses), and the sampler records the
 // per-interval hit rate against that clock — so the report shows the cache
 // heating up over simulated time rather than one lifetime average. A nil

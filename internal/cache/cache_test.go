@@ -33,8 +33,8 @@ func TestAccessHitMiss(t *testing.T) {
 	if c.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %v", c.HitRate())
 	}
-	if c.Resident() != 2*4096 {
-		t.Fatalf("resident = %d", c.Resident())
+	if got := int64(c.lru.Len()) * c.blockSize; got != 2*4096 {
+		t.Fatalf("resident = %d", got)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestOoCScanDefeatsCache(t *testing.T) {
 	}
 	// Cache half the working set: with a cyclic scan and LRU, every access
 	// misses even though half the data is always resident.
-	s, err := RunStudy(ops, 32<<20, 64<<10, wl.MatrixBytes, 3.0e9, 1.0e9)
+	s, err := RunStudySampled(ops, 32<<20, 64<<10, wl.MatrixBytes, 3.0e9, 1.0e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestHotSetRewardsCache(t *testing.T) {
 			ops = append(ops, trace.BlockOp{Kind: trace.Read, Offset: off, Size: 1 << 20})
 		}
 	}
-	s, err := RunStudy(ops, 16<<20, 64<<10, 8<<20, 3.0e9, 1.0e9)
+	s, err := RunStudySampled(ops, 16<<20, 64<<10, 8<<20, 3.0e9, 1.0e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCacheLargerThanWorkingSetEventuallyWins(t *testing.T) {
 	for _, p := range posix {
 		ops = append(ops, trace.BlockOp{Kind: p.Kind, Offset: p.Offset, Size: p.Size})
 	}
-	s, err := RunStudy(ops, 64<<20, 64<<10, wl.MatrixBytes, 3.0e9, 1.0e9)
+	s, err := RunStudySampled(ops, 64<<20, 64<<10, wl.MatrixBytes, 3.0e9, 1.0e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCacheLargerThanWorkingSetEventuallyWins(t *testing.T) {
 // dataset over the network — hours for multi-TB Hamiltonians.
 func TestHeatUpScalesWithDataset(t *testing.T) {
 	ops := []trace.BlockOp{{Kind: trace.Read, Offset: 0, Size: 1 << 20}}
-	s, err := RunStudy(ops, 1<<30, 64<<10, 2<<40, 3.0e9, 1.0e9)
+	s, err := RunStudySampled(ops, 1<<30, 64<<10, 2<<40, 3.0e9, 1.0e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +140,14 @@ func TestHeatUpScalesWithDataset(t *testing.T) {
 }
 
 func TestRunStudyValidation(t *testing.T) {
-	if _, err := RunStudy(nil, 1<<20, 4096, 1<<20, 0, 1); err == nil {
+	if _, err := RunStudySampled(nil, 1<<20, 4096, 1<<20, 0, 1, nil); err == nil {
 		t.Fatal("zero bandwidth accepted")
 	}
-	if _, err := RunStudy(nil, 0, 4096, 1<<20, 1, 1); err == nil {
+	if _, err := RunStudySampled(nil, 0, 4096, 1<<20, 1, 1, nil); err == nil {
 		t.Fatal("bad cache accepted")
 	}
 	// Writes are ignored; empty study is well-formed.
-	s, err := RunStudy([]trace.BlockOp{{Kind: trace.Write, Size: 4096}}, 1<<20, 4096, 1<<20, 1e9, 1e9)
+	s, err := RunStudySampled([]trace.BlockOp{{Kind: trace.Write, Size: 4096}}, 1<<20, 4096, 1<<20, 1e9, 1e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

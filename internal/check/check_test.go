@@ -296,3 +296,7 @@ func TestViolationDetailCap(t *testing.T) {
 		t.Fatalf("unexpected violation rendering: %v", o.Violations()[0])
 	}
 }
+
+// Count reports the total number of integrity violations observed,
+// including any beyond the detail cap.
+func (o *Oracle) Count() int64 { return o.nViol }

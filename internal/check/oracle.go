@@ -145,10 +145,6 @@ func (o *Oracle) MapTrim(lpn int64) {
 	delete(o.version, lpn)
 }
 
-// Violations returns the recorded integrity violations (capped in detail at
-// maxViolations; Count reports the true total).
+// Violations returns the recorded integrity violations, capped in detail at
+// maxViolations (nViol keeps the true total).
 func (o *Oracle) Violations() []Violation { return o.viol }
-
-// Count reports the total number of integrity violations observed,
-// including any beyond the detail cap.
-func (o *Oracle) Count() int64 { return o.nViol }

@@ -120,3 +120,18 @@ func FuzzCkptTornWrite(f *testing.F) {
 		}
 	})
 }
+
+// TruncateAt cuts the chosen slot's shadow to n bytes, modelling a write
+// torn mid-snapshot by power loss.
+func (w *Writer) TruncateAt(slotFromNewest, n int) {
+	slot := w.slotIndex(slotFromNewest)
+	if n >= 0 && n < len(w.shadow[slot]) {
+		w.shadow[slot] = w.shadow[slot][:n]
+	}
+}
+
+// SlotLen reports the byte length of the chosen slot's shadow (0 = newest,
+// 1 = previous).
+func (w *Writer) SlotLen(slotFromNewest int) int {
+	return len(w.shadow[w.slotIndex(slotFromNewest)])
+}

@@ -98,7 +98,6 @@ func (t Topology) SSDs() int { return t.IONs * t.SSDsPerION }
 // compute-local SSDs.
 type PreloadPlan struct {
 	DatasetBytes int64
-	ChunkBytes   int64
 	// OverlapWindow is prior application execution time available to hide
 	// the preload behind ("such data migration can of course be overlapped
 	// with previous application execution times", §3.1).

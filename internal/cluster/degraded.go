@@ -2,92 +2,13 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 
 	"oocnvm/internal/disk"
 	"oocnvm/internal/interconnect"
 	"oocnvm/internal/netfault"
-	"oocnvm/internal/obs"
-	"oocnvm/internal/obs/attrib"
-	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/sim"
 	"oocnvm/internal/trace"
 )
-
-// PlacementOutcome reports where the staged data actually landed after the
-// graceful-degradation state machine ran.
-type PlacementOutcome int
-
-// The fallback ladder, best first.
-const (
-	// PlacePrimary is the intended destination: the OoC compute node's own
-	// SSD (CN-local) at full fabric bandwidth.
-	PlacePrimary PlacementOutcome = iota
-	// PlacePeer lands the data on a peer OoC compute node's SSD; every
-	// chunk takes an extra CN-to-CN forwarding hop over shared ports, so
-	// the path runs at a degraded fraction of the fabric rate.
-	PlacePeer
-	// PlaceION retreats to an I/O-node SSD (the Figure 2a layout): the
-	// preload completes, but through the ION's shared, protocol-burdened
-	// port, and the runtime will pay network crossings for every access.
-	PlaceION
-	// PlaceFailed means no permitted destination accepted the data.
-	PlaceFailed
-)
-
-// String names the outcome.
-func (o PlacementOutcome) String() string {
-	switch o {
-	case PlacePrimary:
-		return "primary"
-	case PlacePeer:
-		return "peer-CN"
-	case PlaceION:
-		return "ION"
-	}
-	return "failed"
-}
-
-// FallbackPolicy bounds the graceful-degradation ladder a preload may
-// descend when its primary destination SSD refuses writes (typically
-// fault.ErrReadOnly: spare blocks exhausted).
-type FallbackPolicy struct {
-	// AllowPeer permits falling back to a peer OoC compute node's SSD.
-	AllowPeer bool
-	// AllowION permits retreating to an I/O-node SSD.
-	AllowION bool
-	// PeerBandwidthFactor scales the fabric rate for the peer hop
-	// (default 0.5: the chunk crosses two shared CN ports).
-	PeerBandwidthFactor float64
-	// IONBandwidthFactor scales the fabric rate for the ION retreat
-	// (default 0.6: the ION port is shared between its SSDs and carries
-	// parallel-filesystem protocol overhead).
-	IONBandwidthFactor float64
-}
-
-// resolve runs the fallback state machine: primary when the target SSD is
-// healthy, else peer (if allowed and healthy), else ION (if allowed), else
-// failure carrying the original target error.
-func (p FallbackPolicy) resolve(targetErr, peerErr error) (PlacementOutcome, float64, error) {
-	if targetErr == nil {
-		return PlacePrimary, 1, nil
-	}
-	if p.AllowPeer && peerErr == nil {
-		f := p.PeerBandwidthFactor
-		if f <= 0 || f > 1 {
-			f = 0.5
-		}
-		return PlacePeer, f, nil
-	}
-	if p.AllowION {
-		f := p.IONBandwidthFactor
-		if f <= 0 || f > 1 {
-			f = 0.6
-		}
-		return PlaceION, f, nil
-	}
-	return PlaceFailed, 0, fmt.Errorf("cluster: no permitted placement for preload: %w", targetErr)
-}
 
 // DegradedOptions parameterizes a preload or checkpoint drain under
 // network degradation. The zero value is a clean, fault-free run.
@@ -97,41 +18,13 @@ type DegradedOptions struct {
 	Profile netfault.Profile
 	// Seed drives every loss/corruption/jitter draw deterministically.
 	Seed uint64
-	// Parallel overrides the logical stream count (default: one stream
-	// per RAID set, so every set pipeline stays busy).
-	Parallel int
-	// Journal, when set, resumes from a persisted chunk bitmap and is
-	// checkpointed as the run progresses. Build one with PreloadJournal
-	// or CheckpointJournal so the geometry matches.
-	Journal *netfault.Journal
-	// StopAfter interrupts the run after this many newly verified chunks
-	// (0 = run to completion) — the crash-injection hook for resume tests.
-	StopAfter int
-	// Probe receives netfault counters and spans; Attrib the per-chunk
-	// latency anatomy; Sampler the goodput/retry time series.
-	Probe   obs.Probe
-	Attrib  *attrib.Recorder
-	Sampler *timeseries.Sampler
-	// Fallback bounds the placement ladder; TargetErr is the primary
-	// destination SSD's write error (fault.ErrReadOnly after spare-block
-	// exhaustion) and PeerErr the peer candidate's, both nil when healthy.
-	Fallback  FallbackPolicy
-	TargetErr error
-	PeerErr   error
 }
 
 // DegradedResult is a degraded run's full outcome: the classic preload
-// summary, the transfer engine's detailed result, and where the data
-// actually landed.
+// summary and the transfer engine's detailed result.
 type DegradedResult struct {
 	PreloadResult
 	Transfer netfault.Result
-	Outcome  PlacementOutcome
-	// ProfileName names the degradation profile the run crossed.
-	ProfileName string
-	// EffectiveBps is the degraded path's data rate ceiling after the
-	// profile cap and any fallback bandwidth factor.
-	EffectiveBps float64
 }
 
 // stagingPipeline is the magnetic tier fan-out: one RAID0 array per RAID
@@ -142,11 +35,14 @@ type stagingPipeline struct {
 	sets  int
 	raids []*disk.RAID0
 	fcs   []*interconnect.Line
-	chunk int64
 }
 
-func newStagingPipeline(t Topology, chunkBytes int64) (*stagingPipeline, error) {
-	p := &stagingPipeline{sets: t.RAIDSets, chunk: chunkBytes}
+// stageChunkBytes is the retransmission unit of preloads and checkpoint
+// drains.
+const stageChunkBytes = 16 << 20
+
+func newStagingPipeline(t Topology) (*stagingPipeline, error) {
+	p := &stagingPipeline{sets: t.RAIDSets}
 	for i := 0; i < t.RAIDSets; i++ {
 		r, err := disk.NewRAID0(t.RAIDWidth, disk.Enterprise15K(), 1<<20)
 		if err != nil {
@@ -168,7 +64,7 @@ func (p *stagingPipeline) lanes(i int) (*disk.RAID0, *interconnect.Line) {
 
 // setOffset is chunk i's byte offset within its set's contiguous stripe.
 func (p *stagingPipeline) setOffset(i int) int64 {
-	return int64(i/p.sets) * p.chunk
+	return int64(i/p.sets) * stageChunkBytes
 }
 
 // read stages chunk i out of the magnetic tier: RAID read, then the FC hop
@@ -187,160 +83,81 @@ func (p *stagingPipeline) write(at sim.Time, i int, _, n int64) sim.Time {
 	return raid.Serve(e, p.setOffset(i), n)
 }
 
-// degradedProfile folds a fallback bandwidth factor into the run's
-// profile: the factor caps the path below the fabric's native rate and the
-// forwarding hop adds one fabric round trip per attempt.
-func degradedProfile(prof netfault.Profile, t Topology, factor float64) netfault.Profile {
-	if prof.Name == "" {
-		prof.Name = "none"
-	}
-	if factor < 1 {
-		cap := t.Network.EffectiveBytesPerSec() * factor
-		if prof.BandwidthCapBps == 0 || cap < prof.BandwidthCapBps {
-			prof.BandwidthCapBps = cap
-		}
-		prof.AddedLatency += t.Network.RoundTrip
-	}
-	return prof
-}
-
-// PreloadJournal builds an empty resume journal matching PreloadDegraded's
-// transfer geometry for the topology and plan.
-func PreloadJournal(t Topology, plan PreloadPlan) (*netfault.Journal, error) {
-	if plan.ChunkBytes <= 0 {
-		plan.ChunkBytes = 16 << 20
-	}
-	chunks := int((plan.DatasetBytes + plan.ChunkBytes - 1) / plan.ChunkBytes)
-	return netfault.NewJournal("preload-"+t.Name, chunks, plan.ChunkBytes)
-}
-
 // PreloadDegraded stages the dataset like Preload, but across a degraded
-// cluster fabric with resumable chunked delivery: per-chunk checksums,
-// bounded retry with exponential backoff, a persisted chunk-bitmap journal
-// for crash resume, and the placement-fallback ladder when the primary
-// destination SSD refuses writes.
+// cluster fabric with chunked delivery: per-chunk checksums and bounded
+// retry with exponential backoff.
 func PreloadDegraded(t Topology, plan PreloadPlan, opt DegradedOptions) (DegradedResult, error) {
 	if err := t.Validate(); err != nil {
-		return DegradedResult{Outcome: PlaceFailed}, err
+		return DegradedResult{}, err
 	}
 	if plan.DatasetBytes <= 0 {
-		return DegradedResult{Outcome: PlaceFailed}, errors.New("cluster: preload dataset must be positive")
+		return DegradedResult{}, errors.New("cluster: preload dataset must be positive")
 	}
-	if plan.ChunkBytes <= 0 {
-		plan.ChunkBytes = 16 << 20
-	}
-	outcome, factor, err := opt.Fallback.resolve(opt.TargetErr, opt.PeerErr)
+	pipe, err := newStagingPipeline(t)
 	if err != nil {
-		return DegradedResult{Outcome: outcome, ProfileName: opt.Profile.Name}, err
+		return DegradedResult{}, err
 	}
-	pipe, err := newStagingPipeline(t, plan.ChunkBytes)
-	if err != nil {
-		return DegradedResult{Outcome: outcome}, err
-	}
-	link := netfault.Wrap(interconnect.NewNetworkLine(t.Network), degradedProfile(opt.Profile, t, factor))
+	link := netfault.Wrap(interconnect.NewNetworkLine(t.Network), opt.Profile)
 	spec := netfault.Spec{
 		Name:       "preload-" + t.Name,
 		Kind:       uint8(trace.Read),
 		TotalBytes: plan.DatasetBytes,
-		ChunkBytes: plan.ChunkBytes,
+		ChunkBytes: stageChunkBytes,
 		Parallel:   t.RAIDSets,
 		Seed:       opt.Seed,
 		Source:     pipe.read,
-		StopAfter:  opt.StopAfter,
 	}
-	return runDegraded(spec, link, opt, outcome, plan.OverlapWindow)
+	return runDegraded(spec, link, plan.OverlapWindow)
 }
 
 // CheckpointPlan describes draining an application snapshot off the
 // compute-local SSDs back to the magnetic tier.
 type CheckpointPlan struct {
 	SnapshotBytes int64
-	ChunkBytes    int64 // default 16 MiB
-}
-
-// CheckpointJournal builds an empty resume journal matching
-// DrainCheckpoint's transfer geometry.
-func CheckpointJournal(t Topology, plan CheckpointPlan) (*netfault.Journal, error) {
-	if plan.ChunkBytes <= 0 {
-		plan.ChunkBytes = 16 << 20
-	}
-	chunks := int((plan.SnapshotBytes + plan.ChunkBytes - 1) / plan.ChunkBytes)
-	return netfault.NewJournal("ckpt-"+t.Name, chunks, plan.ChunkBytes)
 }
 
 // DrainCheckpoint writes a checkpoint snapshot back from an OoC compute
 // node to the magnetic tier: the node's native-PCIe SSD read feeds the
 // (possibly degraded) cluster network, then the ION's Fibre-Channel
-// attachment and RAID set absorb the chunk. The same journal/retry/
-// fallback machinery as PreloadDegraded applies; the fallback ladder here
-// chooses which node's copy of the snapshot drains (a peer replica or an
-// ION-buffered copy) when the local SSD has gone read-only and thus
-// unreadable-after-write.
+// attachment and RAID set absorb the chunk, with the same checksum and
+// retry machinery as PreloadDegraded.
 func DrainCheckpoint(t Topology, plan CheckpointPlan, opt DegradedOptions) (DegradedResult, error) {
 	if err := t.Validate(); err != nil {
-		return DegradedResult{Outcome: PlaceFailed}, err
+		return DegradedResult{}, err
 	}
 	if plan.SnapshotBytes <= 0 {
-		return DegradedResult{Outcome: PlaceFailed}, errors.New("cluster: checkpoint snapshot must be positive")
+		return DegradedResult{}, errors.New("cluster: checkpoint snapshot must be positive")
 	}
-	if plan.ChunkBytes <= 0 {
-		plan.ChunkBytes = 16 << 20
-	}
-	outcome, factor, err := opt.Fallback.resolve(opt.TargetErr, opt.PeerErr)
+	pipe, err := newStagingPipeline(t)
 	if err != nil {
-		return DegradedResult{Outcome: outcome, ProfileName: opt.Profile.Name}, err
-	}
-	pipe, err := newStagingPipeline(t, plan.ChunkBytes)
-	if err != nil {
-		return DegradedResult{Outcome: outcome}, err
+		return DegradedResult{}, err
 	}
 	ssd := interconnect.NewPCIeLine(interconnect.PCIeConfig{Gen: interconnect.PCIeGen2, Lanes: 8})
-	link := netfault.Wrap(interconnect.NewNetworkLine(t.Network), degradedProfile(opt.Profile, t, factor))
+	link := netfault.Wrap(interconnect.NewNetworkLine(t.Network), opt.Profile)
 	spec := netfault.Spec{
 		Name:       "ckpt-" + t.Name,
 		Kind:       uint8(trace.Write),
 		TotalBytes: plan.SnapshotBytes,
-		ChunkBytes: plan.ChunkBytes,
+		ChunkBytes: stageChunkBytes,
 		Parallel:   t.RAIDSets,
 		Seed:       opt.Seed,
 		Source: func(at sim.Time, _ int, _, n int64) sim.Time {
 			return ssd.Transfer(at, n)
 		},
-		Sink:      pipe.write,
-		StopAfter: opt.StopAfter,
+		Sink: pipe.write,
 	}
-	return runDegraded(spec, link, opt, outcome, 0)
+	return runDegraded(spec, link, 0)
 }
 
-// runDegraded wires the options into the transfer engine, runs it, and
-// folds the engine's result into the classic preload summary.
-func runDegraded(spec netfault.Spec, link *netfault.Degraded, opt DegradedOptions, outcome PlacementOutcome, overlap sim.Time) (DegradedResult, error) {
-	if opt.Parallel > 0 {
-		spec.Parallel = opt.Parallel
-	}
-	if opt.Probe != nil {
-		link.SetProbe(opt.Probe)
-	}
+// runDegraded runs the transfer engine and folds its result into the
+// classic preload summary.
+func runDegraded(spec netfault.Spec, link *netfault.Degraded, overlap sim.Time) (DegradedResult, error) {
 	tr, err := netfault.NewTransfer(spec, link)
 	if err != nil {
-		return DegradedResult{Outcome: PlaceFailed}, err
-	}
-	if opt.Journal != nil {
-		if err := tr.SetJournal(opt.Journal); err != nil {
-			return DegradedResult{Outcome: PlaceFailed}, err
-		}
-	}
-	tr.SetRecorder(opt.Attrib)
-	if opt.Sampler != nil {
-		tr.SetSampler(opt.Sampler)
+		return DegradedResult{}, err
 	}
 	res, runErr := tr.Run(0)
-	out := DegradedResult{
-		Transfer:     res,
-		Outcome:      outcome,
-		ProfileName:  link.Profile().Name,
-		EffectiveBps: link.EffectiveBps(),
-	}
+	out := DegradedResult{Transfer: res}
 	out.Duration = res.End - res.Start
 	out.DiskBW = res.Goodput
 	if out.Duration <= overlap {

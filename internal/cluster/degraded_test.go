@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"testing"
 
-	"oocnvm/internal/fault"
 	"oocnvm/internal/netfault"
-	"oocnvm/internal/obs/attrib"
 )
 
 func TestValidateRejectsNonPositiveGeometry(t *testing.T) {
@@ -79,142 +76,15 @@ func TestPreloadDegradedSlowerThanClean(t *testing.T) {
 	}
 }
 
-func TestPreloadAttributionConserves(t *testing.T) {
-	rec := attrib.NewRecorder(8)
-	prof, _ := netfault.ForName("lossy")
-	plan := PreloadPlan{DatasetBytes: 512 << 20}
-	res, err := PreloadDegraded(ComputeLocal(), plan, DegradedOptions{
-		Profile: prof, Seed: 7, Attrib: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Requests() != int64(res.Transfer.Delivered) {
-		t.Fatalf("recorder saw %d chunks, engine delivered %d", rec.Requests(), res.Transfer.Delivered)
-	}
-	if rec.Violations() != 0 {
-		t.Fatalf("attribution conservation violated %d times", rec.Violations())
-	}
-	sum := rec.Summary()
-	if sum.Totals[attrib.Queue] <= 0 || sum.Totals[attrib.LinkXfer] <= 0 {
-		t.Fatalf("staging/wire components empty: %+v", sum.Totals)
-	}
-	if res.Transfer.Retries > 0 && sum.Totals[attrib.Retry] <= 0 {
-		t.Fatal("retries happened but the retry component is empty")
-	}
-}
-
-func TestPreloadResumeFromJournal(t *testing.T) {
-	prof, _ := netfault.ForName("lossy")
-	topo := ComputeLocal()
-	plan := PreloadPlan{DatasetBytes: 512 << 20}
-
-	ref, err := PreloadDegraded(topo, plan, DegradedOptions{Profile: prof, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	j1, err := PreloadJournal(topo, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interrupted, err := PreloadDegraded(topo, plan, DegradedOptions{
-		Profile: prof, Seed: 3, Journal: j1, StopAfter: 12,
-	})
-	if !errors.Is(err, netfault.ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	if interrupted.Transfer.Completed {
-		t.Fatal("interrupted preload claims completion")
-	}
-
-	j2, _ := PreloadJournal(topo, plan)
-	j2.Adopt(j1.Persisted())
-	resumed, err := PreloadDegraded(topo, plan, DegradedOptions{
-		Profile: prof, Seed: 3, Journal: j2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Transfer.Completed || resumed.Transfer.Skipped == 0 {
-		t.Fatalf("resume did not skip journaled chunks: %+v", resumed.Transfer)
-	}
-	if resumed.Transfer.WireBytes >= ref.Transfer.WireBytes {
-		t.Fatalf("resume moved %d wire bytes, from-scratch %d",
-			resumed.Transfer.WireBytes, ref.Transfer.WireBytes)
-	}
-	if resumed.Transfer.BitmapFNV != ref.Transfer.BitmapFNV {
-		t.Fatal("resumed bitmap differs from the from-scratch bitmap")
-	}
-}
-
-func TestFallbackLadder(t *testing.T) {
-	plan := PreloadPlan{DatasetBytes: 256 << 20}
-	topo := ComputeLocal()
-
-	primary, err := PreloadDegraded(topo, plan, DegradedOptions{})
-	if err != nil || primary.Outcome != PlacePrimary {
-		t.Fatalf("healthy target must place primary: %v, %v", primary.Outcome, err)
-	}
-
-	// Read-only target SSD, healthy peer: peer placement at degraded rate.
-	peer, err := PreloadDegraded(topo, plan, DegradedOptions{
-		TargetErr: fault.ErrReadOnly,
-		Fallback:  FallbackPolicy{AllowPeer: true, AllowION: true},
-	})
-	if err != nil || peer.Outcome != PlacePeer {
-		t.Fatalf("want peer placement: %v, %v", peer.Outcome, err)
-	}
-	if peer.EffectiveBps >= primary.EffectiveBps {
-		t.Fatalf("peer path (%.0f) not degraded below primary (%.0f)",
-			peer.EffectiveBps, primary.EffectiveBps)
-	}
-	if peer.Duration <= primary.Duration {
-		t.Fatal("peer fallback not slower than primary placement")
-	}
-
-	// Both CN destinations down: retreat to the ION.
-	ion, err := PreloadDegraded(topo, plan, DegradedOptions{
-		TargetErr: fault.ErrReadOnly,
-		PeerErr:   fault.ErrReadOnly,
-		Fallback:  FallbackPolicy{AllowPeer: true, AllowION: true},
-	})
-	if err != nil || ion.Outcome != PlaceION {
-		t.Fatalf("want ION placement: %v, %v", ion.Outcome, err)
-	}
-
-	// No fallback permitted: the preload fails, carrying the SSD error.
-	failed, err := PreloadDegraded(topo, plan, DegradedOptions{TargetErr: fault.ErrReadOnly})
-	if err == nil || failed.Outcome != PlaceFailed {
-		t.Fatalf("want placement failure: %v, %v", failed.Outcome, err)
-	}
-	if !errors.Is(err, fault.ErrReadOnly) {
-		t.Fatalf("failure must carry the SSD error, got %v", err)
-	}
-	for _, o := range []PlacementOutcome{PlacePrimary, PlacePeer, PlaceION, PlaceFailed} {
-		if o.String() == "" {
-			t.Fatal("unnamed placement outcome")
-		}
-	}
-}
-
 func TestDrainCheckpoint(t *testing.T) {
 	topo := ComputeLocal()
 	plan := CheckpointPlan{SnapshotBytes: 512 << 20}
-	rec := attrib.NewRecorder(8)
-	clean, err := DrainCheckpoint(topo, plan, DegradedOptions{Attrib: rec})
+	clean, err := DrainCheckpoint(topo, plan, DegradedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !clean.Transfer.Completed {
 		t.Fatalf("clean drain incomplete: %+v", clean.Transfer)
-	}
-	if rec.Violations() != 0 {
-		t.Fatalf("drain attribution violated %d times", rec.Violations())
-	}
-	// The far-end FC+RAID store must show up as die-service time.
-	if rec.Summary().Totals[attrib.DieService] <= 0 {
-		t.Fatal("checkpoint drain has no far-end store time")
 	}
 	// The FC attachment (~0.72 GB/s) bottlenecks the drain.
 	if clean.Transfer.Goodput > topo.Storage.EffectiveBytesPerSec()*float64(topo.IONs)*1.01 {
@@ -239,16 +109,5 @@ func TestDrainValidation(t *testing.T) {
 	bad.RAIDSets = 0
 	if _, err := DrainCheckpoint(bad, CheckpointPlan{SnapshotBytes: 1}, DegradedOptions{}); err == nil {
 		t.Fatal("invalid topology accepted")
-	}
-}
-
-func TestCheckpointJournalGeometry(t *testing.T) {
-	topo := ComputeLocal()
-	j, err := CheckpointJournal(topo, CheckpointPlan{SnapshotBytes: 100 << 20, ChunkBytes: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Chunks() != 7 {
-		t.Fatalf("journal has %d chunks, want 7", j.Chunks())
 	}
 }

@@ -26,12 +26,6 @@ type NodeConfig struct {
 	Cell     nvm.CellType
 	Bus      nvm.BusParams
 	PCIe     interconnect.PCIeConfig
-	// QueueDepth bounds outstanding requests; zero selects the default.
-	QueueDepth int
-	// WindowBytes bounds in-flight data; zero means queue-entry bound only
-	// (UFS clients issue asynchronously).
-	WindowBytes int64
-	Seed        uint64
 }
 
 // DefaultNodeConfig is the paper's software-optimized baseline: the standard
@@ -74,14 +68,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	drive, err := ssd.New(ssd.Config{
-		Geometry:    cfg.Geometry,
-		Cell:        cell,
-		Bus:         cfg.Bus,
-		Link:        interconnect.NewPCIeLine(cfg.PCIe),
-		Translator:  ssd.NewDirect(cfg.Geometry, cell),
-		QueueDepth:  cfg.QueueDepth,
-		WindowBytes: cfg.WindowBytes,
-		Seed:        cfg.Seed,
+		Geometry:   cfg.Geometry,
+		Cell:       cell,
+		Bus:        cfg.Bus,
+		Link:       interconnect.NewPCIeLine(cfg.PCIe),
+		Translator: ssd.NewDirect(cfg.Geometry, cell),
 	})
 	if err != nil {
 		return nil, err
@@ -91,10 +82,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 
 // Capacity reports the node's raw NVM capacity in bytes.
 func (n *Node) Capacity() int64 { return n.fs.Capacity() }
-
-// UFS exposes the node's space manager for advanced callers (wear queries,
-// extent enumeration).
-func (n *Node) UFS() *ufs.UFS { return n.fs }
 
 // Alloc reserves a named array on the local NVM.
 func (n *Node) Alloc(name string, size int64) (ufs.Extent, error) {

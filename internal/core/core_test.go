@@ -181,11 +181,8 @@ func TestStoragePanicsOutsideExtent(t *testing.T) {
 	s.ReadAt(0, 2<<20)
 }
 
-func TestUFSAccessorAndStorageWrite(t *testing.T) {
+func TestStorageWrite(t *testing.T) {
 	n := newNode(t)
-	if n.UFS() == nil || n.UFS().Capacity() != n.Capacity() {
-		t.Fatal("UFS accessor broken")
-	}
 	n.Alloc("buf", 1<<20)
 	s, err := n.NewStorage("buf")
 	if err != nil {

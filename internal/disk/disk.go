@@ -60,9 +60,6 @@ func (d *Disk) Serve(at sim.Time, offset, size int64) sim.Time {
 	return end
 }
 
-// Busy reports accumulated service time.
-func (d *Disk) Busy() sim.Time { return d.tl.Busy() }
-
 func abs64(x int64) int64 {
 	if x < 0 {
 		return -x
@@ -92,9 +89,6 @@ func NewRAID0(n int, p Params, stripe int64) (*RAID0, error) {
 	return r, nil
 }
 
-// Width returns the spindle count.
-func (r *RAID0) Width() int { return len(r.disks) }
-
 // Serve splits the access into stripe units across the spindles and returns
 // the time the last unit completes.
 func (r *RAID0) Serve(at sim.Time, offset, size int64) sim.Time {
@@ -113,16 +107,4 @@ func (r *RAID0) Serve(at sim.Time, offset, size int64) sim.Time {
 		cur += n
 	}
 	return end
-}
-
-// StreamBandwidth estimates the array's sequential streaming rate by serving
-// a large read on a throwaway copy and measuring.
-func (r *RAID0) StreamBandwidth() float64 {
-	probe, err := NewRAID0(len(r.disks), r.disks[0].p, r.stripe)
-	if err != nil {
-		return 0
-	}
-	const total = 1 << 30
-	end := probe.Serve(0, 0, total)
-	return sim.Rate(total, end)
 }

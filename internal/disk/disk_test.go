@@ -49,7 +49,7 @@ func TestDiskSerializes(t *testing.T) {
 	if e2 <= e1 {
 		t.Fatal("disk served two requests concurrently")
 	}
-	if d.Busy() <= 0 {
+	if d.tl.Busy() <= 0 {
 		t.Fatal("busy accounting missing")
 	}
 }
@@ -83,11 +83,12 @@ func TestRAID0ScalesBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eight.Width() != 8 {
-		t.Fatal("width wrong")
+	// Sequential streaming rate: one large read on a fresh array.
+	stream := func(r *RAID0) float64 {
+		const total = 1 << 30
+		return sim.Rate(total, r.Serve(0, 0, total))
 	}
-	bw1 := one.StreamBandwidth()
-	bw8 := eight.StreamBandwidth()
+	bw1, bw8 := stream(one), stream(eight)
 	if bw8 < 5*bw1 {
 		t.Fatalf("8-wide RAID0 = %.0f MB/s, single = %.0f MB/s; want ~8x", bw8/1e6, bw1/1e6)
 	}

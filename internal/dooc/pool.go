@@ -1,11 +1,14 @@
+// Package dooc implements DOoC, the distributed out-of-core layer the
+// paper's application runs on (§2.1): a data storage layer of immutable
+// named arrays with prefetching and automatic memory management, plus a
+// hierarchical data-aware scheduler that is "cognizant of data-dependencies
+// and performs task reordering to maximize parallelism and performance".
 package dooc
 
 import (
 	"container/list"
 	"fmt"
 	"sync"
-
-	"oocnvm/internal/obs"
 )
 
 // Loader fetches a named array's bytes from backing storage. It is how the
@@ -16,7 +19,7 @@ type Loader func(name string) ([]byte, error)
 // immutable-once-written arrays kept resident under a memory budget with
 // LRU replacement and asynchronous prefetch. "Large disk-located arrays are
 // immutable once written, removing any need for complicated coherency
-// mechanisms" (§2.1) — Put on an existing name is therefore an error.
+// mechanisms" (§2.1), so a resident array is never reloaded or replaced.
 type DataPool struct {
 	mu       sync.Mutex
 	budget   int64
@@ -27,23 +30,11 @@ type DataPool struct {
 	inflight map[string]chan struct{}
 
 	hits, misses, evictions int64
-
-	probe obs.Probe
-}
-
-// SetProbe attaches an observability probe: hit/miss/eviction counters and a
-// resident-bytes gauge. Probe implementations must be safe for concurrent
-// use (Gets race); obs.Collector is.
-func (p *DataPool) SetProbe(pr obs.Probe) {
-	p.mu.Lock()
-	p.probe = obs.OrNop(pr)
-	p.mu.Unlock()
 }
 
 type poolEntry struct {
-	name   string
-	data   []byte
-	pinned bool
+	name string
+	data []byte
 }
 
 // NewDataPool creates a pool with the given byte budget and loader.
@@ -60,15 +51,7 @@ func NewDataPool(budget int64, loader Loader) (*DataPool, error) {
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[string]chan struct{}),
-		probe:    obs.Nop{},
 	}, nil
-}
-
-// Used reports resident bytes.
-func (p *DataPool) Used() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.used
 }
 
 // Stats reports hit/miss/eviction counters.
@@ -78,47 +61,29 @@ func (p *DataPool) Stats() (hits, misses, evictions int64) {
 	return p.hits, p.misses, p.evictions
 }
 
-// Put inserts an array produced by computation. Names are write-once.
-func (p *DataPool) Put(name string, data []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, exists := p.entries[name]; exists {
-		return fmt.Errorf("dooc: array %q is immutable and already present", name)
-	}
-	return p.insertLocked(name, data)
-}
-
 func (p *DataPool) insertLocked(name string, data []byte) error {
 	need := int64(len(data))
 	if need > p.budget {
 		return fmt.Errorf("dooc: array %q (%d bytes) exceeds pool budget %d", name, need, p.budget)
 	}
 	for p.used+need > p.budget {
-		if !p.evictOneLocked() {
-			return fmt.Errorf("dooc: pool full of pinned arrays; cannot fit %q", name)
-		}
+		p.evictOldestLocked()
 	}
 	el := p.lru.PushFront(&poolEntry{name: name, data: data})
 	p.entries[name] = el
 	p.used += need
-	p.probe.SetGauge("dooc.pool.used_bytes", float64(p.used))
 	return nil
 }
 
-func (p *DataPool) evictOneLocked() bool {
-	for el := p.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*poolEntry)
-		if e.pinned {
-			continue
-		}
-		p.lru.Remove(el)
-		delete(p.entries, e.name)
-		p.used -= int64(len(e.data))
-		p.evictions++
-		p.probe.Count("dooc.pool.evictions", 1)
-		return true
-	}
-	return false
+// evictOldestLocked drops the least recently used array. The budget check
+// in insertLocked guarantees the pool is non-empty whenever it is called.
+func (p *DataPool) evictOldestLocked() {
+	el := p.lru.Back()
+	e := el.Value.(*poolEntry)
+	p.lru.Remove(el)
+	delete(p.entries, e.name)
+	p.used -= int64(len(e.data))
+	p.evictions++
 }
 
 // Get returns the named array, loading it through the Loader on a miss.
@@ -129,7 +94,6 @@ func (p *DataPool) Get(name string) ([]byte, error) {
 		if el, ok := p.entries[name]; ok {
 			p.lru.MoveToFront(el)
 			p.hits++
-			p.probe.Count("dooc.pool.hits", 1)
 			data := el.Value.(*poolEntry).data
 			p.mu.Unlock()
 			return data, nil
@@ -142,7 +106,6 @@ func (p *DataPool) Get(name string) ([]byte, error) {
 		ch := make(chan struct{})
 		p.inflight[name] = ch
 		p.misses++
-		p.probe.Count("dooc.pool.misses", 1)
 		p.mu.Unlock()
 
 		data, err := p.loader(name)
@@ -162,24 +125,6 @@ func (p *DataPool) Get(name string) ([]byte, error) {
 		p.mu.Unlock()
 		return data, nil
 	}
-}
-
-// Pin prevents eviction of a resident array (e.g. the panel a task is
-// multiplying right now).
-func (p *DataPool) Pin(name string) error { return p.setPin(name, true) }
-
-// Unpin re-enables eviction.
-func (p *DataPool) Unpin(name string) error { return p.setPin(name, false) }
-
-func (p *DataPool) setPin(name string, v bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.entries[name]
-	if !ok {
-		return fmt.Errorf("dooc: pin %q: not resident", name)
-	}
-	el.Value.(*poolEntry).pinned = v
-	return nil
 }
 
 // Resident reports whether a name is in the pool.

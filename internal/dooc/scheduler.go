@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"oocnvm/internal/obs"
 )
 
 // Task is one schedulable unit with data dependencies: it consumes named
 // arrays and produces named arrays. Fn runs when every input's producer has
 // completed.
 type Task struct {
-	ID       string
-	Inputs   []string // array names consumed
-	Outputs  []string // array names produced
-	Priority int      // tie-breaker; higher runs earlier
-	Fn       func() error
+	ID      string
+	Inputs  []string // array names consumed
+	Outputs []string // array names produced
+	Fn      func() error
 }
 
 // Scheduler is DOoC's hierarchical data-aware scheduler: it tracks the
@@ -26,14 +23,7 @@ type Task struct {
 type Scheduler struct {
 	workers  int
 	resident func(name string) bool
-	probe    obs.Probe
 }
-
-// SetProbe attaches an observability probe counting scheduling decisions and
-// how often the data-aware policy found a ready task with resident inputs.
-// Probe implementations must be safe for concurrent use (workers run in
-// parallel); obs.Collector is.
-func (s *Scheduler) SetProbe(p obs.Probe) { s.probe = obs.OrNop(p) }
 
 // NewScheduler creates a scheduler with the given worker count. resident,
 // when non-nil, reports whether an array is already local (usually
@@ -42,7 +32,7 @@ func NewScheduler(workers int, resident func(string) bool) (*Scheduler, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("dooc: scheduler needs at least one worker, got %d", workers)
 	}
-	return &Scheduler{workers: workers, resident: resident, probe: obs.Nop{}}, nil
+	return &Scheduler{workers: workers, resident: resident}, nil
 }
 
 // Run executes the task set respecting dependencies and returns the
@@ -102,34 +92,25 @@ func (s *Scheduler) Run(tasks []Task) ([]string, error) {
 	}
 	sort.Strings(ready)
 
-	// pick selects the best ready task: resident inputs first (data-aware),
-	// then priority, then ID for determinism.
+	// pick selects the best ready task: most resident inputs first
+	// (data-aware), then ID for determinism.
 	pick := func() string {
-		best := -1
-		bestKey := [2]int{-1, 0}
+		best, bestRes := -1, -1
 		for i, id := range ready {
-			t := byID[id]
 			res := 0
 			if s.resident != nil {
-				for _, in := range t.Inputs {
+				for _, in := range byID[id].Inputs {
 					if s.resident(in) {
 						res++
 					}
 				}
 			}
-			key := [2]int{res, t.Priority}
-			if best == -1 || key[0] > bestKey[0] ||
-				(key[0] == bestKey[0] && key[1] > bestKey[1]) ||
-				(key == bestKey && id < ready[best]) {
-				best, bestKey = i, key
+			if res > bestRes || (res == bestRes && id < ready[best]) {
+				best, bestRes = i, res
 			}
 		}
 		id := ready[best]
 		ready = append(ready[:best], ready[best+1:]...)
-		s.probe.Count("dooc.sched.decisions", 1)
-		if bestKey[0] > 0 {
-			s.probe.Count("dooc.sched.resident_picks", 1)
-		}
 		return id
 	}
 
@@ -172,7 +153,6 @@ func (s *Scheduler) Run(tasks []Task) ([]string, error) {
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("dooc: task %q: %w", id, err)
 				}
-				s.probe.Count("dooc.sched.tasks_completed", 1)
 				for _, dep := range dependents[id] {
 					waiting[dep]--
 					if waiting[dep] == 0 {

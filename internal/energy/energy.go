@@ -11,7 +11,6 @@ package energy
 import (
 	"fmt"
 
-	"oocnvm/internal/nvm"
 	"oocnvm/internal/sim"
 )
 
@@ -31,8 +30,6 @@ var (
 	DRAMPerGiB = DevicePower{ActiveWatts: 0.45, IdleWatts: 0.25}
 	// IBPort is a QDR HCA plus its switch-port share.
 	IBPort = DevicePower{ActiveWatts: 12, IdleWatts: 8}
-	// SpindleDisk is a 15k enterprise drive.
-	SpindleDisk = DevicePower{ActiveWatts: 11, IdleWatts: 7}
 )
 
 // Capital cost figures, USD, 2013-era street prices.
@@ -53,12 +50,6 @@ func (p DevicePower) Energy(span sim.Time, busyFraction float64) float64 {
 	}
 	w := p.IdleWatts + (p.ActiveWatts-p.IdleWatts)*busyFraction
 	return w * span.Seconds()
-}
-
-// SSDRunEnergy converts a simulated device run into Joules: the SSD is
-// active while its channels serve work and idles otherwise.
-func SSDRunEnergy(st nvm.Stats) float64 {
-	return PCIeSSD.Energy(st.Span, st.ChannelUtilization)
 }
 
 // Approach is one way to provision the OoC dataset.

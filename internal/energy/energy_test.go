@@ -3,7 +3,6 @@ package energy
 import (
 	"testing"
 
-	"oocnvm/internal/nvm"
 	"oocnvm/internal/sim"
 )
 
@@ -30,18 +29,6 @@ func TestEnergyClampsFraction(t *testing.T) {
 	}
 	if p.Energy(sim.Second, 2) != 20 {
 		t.Fatal("fraction above one not clamped")
-	}
-}
-
-func TestSSDRunEnergy(t *testing.T) {
-	st := nvm.Stats{Span: 10 * sim.Second, ChannelUtilization: 0.5}
-	got := SSDRunEnergy(st)
-	want := PCIeSSD.Energy(10*sim.Second, 0.5)
-	if got != want {
-		t.Fatalf("SSDRunEnergy = %v, want %v", got, want)
-	}
-	if got <= PCIeSSD.IdleWatts*10 || got >= PCIeSSD.ActiveWatts*10 {
-		t.Fatalf("energy %v outside the idle/active envelope", got)
 	}
 }
 

@@ -139,17 +139,28 @@ func TestSummaryFormat(t *testing.T) {
 	}
 }
 
+func TestRunRejectsNegativeOptions(t *testing.T) {
+	cfg, err := FindConfig("CNL-EXT4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Options){
+		"RetentionDays":          func(o *Options) { o.RetentionDays = -30 },
+		"PrecyclePE":             func(o *Options) { o.PrecyclePE = -3000 },
+		"DurableCheckpointPages": func(o *Options) { o.DurableCheckpointPages = -5 },
+	} {
+		opt := TestOptions()
+		mutate(&opt)
+		if _, err := Run(cfg, nvm.SLC, opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("negative %s: err = %v", name, err)
+		}
+	}
+}
+
 func TestMeasurementRemainingClamps(t *testing.T) {
 	m := Measurement{MediaCapableMBps: 10}
 	m.Achieved.Bandwidth = 100e6 // 100 MB/s achieved > 10 capable (rounding)
 	if m.RemainingMBps() != 0 {
 		t.Fatal("remaining must clamp at zero")
-	}
-}
-
-func TestWorkloadForScaleHelper(t *testing.T) {
-	w := workloadForScale(64, 8, 2)
-	if w.MatrixBytes != 64<<20 || w.PanelBytes != 8<<20 || w.Applications != 2 {
-		t.Fatalf("workloadForScale = %+v", w)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"oocnvm/internal/nvm"
-	"oocnvm/internal/ooc"
 	"oocnvm/internal/trace"
 	"oocnvm/internal/trend"
 )
@@ -242,14 +241,4 @@ func Fig6Pattern(opt Options) (posixSeq, gpfsSeq float64, err error) {
 	}
 	blockOps := fsys.Transform(posixOps)
 	return trace.Characterize(asBlocks).SequentialPct, trace.Characterize(blockOps).SequentialPct, nil
-}
-
-// workloadForScale is a helper for examples that want a differently sized
-// run without building Options by hand.
-func workloadForScale(matrixMiB, panelMiB, applications int) ooc.Workload {
-	return ooc.Workload{
-		MatrixBytes:  int64(matrixMiB) << 20,
-		PanelBytes:   int64(panelMiB) << 20,
-		Applications: applications,
-	}
 }

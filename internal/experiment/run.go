@@ -126,6 +126,9 @@ func (m Measurement) RemainingMBps() float64 {
 
 // Run evaluates one configuration with one NVM type.
 func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
+	if err := opt.validate(); err != nil {
+		return Measurement{}, err
+	}
 	if opt.Host != nil {
 		defer opt.Host.Phase(fmt.Sprintf("cell %s/%s", cfg.Name, cell))()
 	}
@@ -146,6 +149,21 @@ func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
 		m.MediaCapableMBps = capable.MBps()
 	}
 	return m, nil
+}
+
+// validate rejects option values that would silently change the answer:
+// negative wear or age make the fault model fresher than a new drive, and a
+// negative checkpoint interval would run with durability off.
+func (o *Options) validate() error {
+	switch {
+	case o.RetentionDays < 0:
+		return fmt.Errorf("experiment: negative RetentionDays %v", o.RetentionDays)
+	case o.PrecyclePE < 0:
+		return fmt.Errorf("experiment: negative PrecyclePE %d", o.PrecyclePE)
+	case o.DurableCheckpointPages < 0:
+		return fmt.Errorf("experiment: negative DurableCheckpointPages %d", o.DurableCheckpointPages)
+	}
+	return nil
 }
 
 // BlockTrace exposes the device-level trace a configuration's software

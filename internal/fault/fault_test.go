@@ -138,6 +138,20 @@ func TestInjectorRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+func TestInjectorRejectsNegativeAgingAndSpares(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"retention days": func(c *Config) { c.RetentionDays = -30 },
+		"precycle":       func(c *Config) { c.PrecyclePE = -3000 },
+		"spare blocks":   func(c *Config) { c.SpareBlocks = -1 },
+	} {
+		cfg := testConfig(Profile{BaseRBER: 1e-5})
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
+	}
+}
+
 func TestDisabledInjectorDrawsNothing(t *testing.T) {
 	inj, err := New(testConfig(Profile{}))
 	if err != nil {

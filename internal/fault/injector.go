@@ -29,7 +29,8 @@ type Config struct {
 	// Endurance is the medium's rated P/E cycles.
 	Endurance int64
 	// SpareBlocks is the grown-bad budget: each block retirement consumes
-	// one; at zero the device degrades to read-only.
+	// one; at zero the device degrades to read-only. Zero selects a budget
+	// of 16.
 	SpareBlocks int64
 	// PrecyclePE adds absolute P/E cycles on top of the profile's
 	// PrecycleFrac (the -precycle flag).
@@ -97,6 +98,10 @@ func New(cfg Config) (*Injector, error) {
 	if cfg.PageSize <= 0 || cfg.PagesPerBlock <= 0 || cfg.RowSize <= 0 || cfg.TotalBlocks <= 0 {
 		return nil, fmt.Errorf("fault: config needs positive geometry, got %+v", cfg)
 	}
+	if cfg.RetentionDays < 0 || cfg.PrecyclePE < 0 || cfg.SpareBlocks < 0 {
+		return nil, fmt.Errorf("fault: negative retention days (%v), precycle P/E (%d) or spare blocks (%d)",
+			cfg.RetentionDays, cfg.PrecyclePE, cfg.SpareBlocks)
+	}
 	if cfg.ECC.CodewordBytes <= 0 {
 		cfg.ECC.CodewordBytes = 1024
 	}
@@ -107,7 +112,7 @@ func New(cfg Config) (*Injector, error) {
 		pre += int64(prof.PrecycleFrac * float64(cfg.Endurance))
 	}
 	spares := cfg.SpareBlocks
-	if spares <= 0 {
+	if spares == 0 {
 		spares = 16
 	}
 	return &Injector{

@@ -108,15 +108,6 @@ func New(p Profile, capacity int64, seed uint64) (FileSystem, error) {
 	return &profileFS{p: p, capacity: capacity, rng: sim.NewRNG(seed), probe: obs.Nop{}}, nil
 }
 
-// MustNew is New for known-good profiles; it panics on error.
-func MustNew(p Profile, capacity int64, seed uint64) FileSystem {
-	f, err := New(p, capacity, seed)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 func (f *profileFS) Name() string { return f.p.Name }
 
 // ReadAhead reports the profile's in-flight byte window.

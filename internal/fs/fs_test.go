@@ -66,7 +66,7 @@ func TestTransformPreservesDataVolume(t *testing.T) {
 	p := Profile{Name: "T", BlockSize: 4096, MaxRequest: 128 << 10}
 	f := MustNew(p, testCapacity, 1)
 	out := f.Transform([]trace.PosixOp{posixRead(0, 3<<20)})
-	if got := trace.DataBytes(out); got != 3<<20 {
+	if got := trace.Characterize(out).DataBytes; got != 3<<20 {
 		t.Fatalf("data bytes %d, want %d", got, 3<<20)
 	}
 }
@@ -223,9 +223,18 @@ func TestTransformVolumeProperty(t *testing.T) {
 		f := MustNew(p, testCapacity, 5)
 		size := (int64(blocks) + 1) * p.BlockSize
 		out := f.Transform([]trace.PosixOp{posixRead(0, size)})
-		return trace.DataBytes(out) == size
+		return trace.Characterize(out).DataBytes == size
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// MustNew is New for known-good profiles; it panics on error.
+func MustNew(p Profile, capacity int64, seed uint64) FileSystem {
+	f, err := New(p, capacity, seed)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }

@@ -36,7 +36,7 @@ func TestGPFSFragmentsRequests(t *testing.T) {
 	}
 	// Volume is preserved (other servers' stripes appear as statistically
 	// equivalent interleaved traffic).
-	if got := trace.DataBytes(out); got != 8<<20 {
+	if got := trace.Characterize(out).DataBytes; got != 8<<20 {
 		t.Fatalf("data volume %d, want %d", got, 8<<20)
 	}
 }

@@ -43,7 +43,6 @@ type FTL struct {
 	writePtr  int64    // next page slot within the active superblock
 	inGC      bool     // guards against reentrant garbage collection
 	preloaded int64    // superblocks occupied by preloaded, identity-mapped data
-	reserve   int      // GC trigger: minimum free superblocks to maintain
 
 	// Statistics.
 	gcRuns     int64
@@ -116,10 +115,11 @@ type superblock struct {
 	bad bool
 }
 
+// gcReserve is the free-superblock low-water mark that triggers GC.
+const gcReserve = 2
+
 // Config tunes the FTL.
 type Config struct {
-	// ReserveSuperblocks is the free-pool low-water mark that triggers GC.
-	ReserveSuperblocks int
 	// Durable enables the crash-consistent metadata model: per-page OOB
 	// tags, an L2P delta journal and periodic mapping-table checkpoints.
 	Durable DurableConfig
@@ -130,21 +130,17 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ReserveSuperblocks <= 0 {
-		cfg.ReserveSuperblocks = 2
-	}
 	f := &FTL{
-		geo:     geo,
-		cell:    cell,
-		rowsz:   int64(geo.Channels * cell.Planes * geo.DiesPerChannel()),
-		ppb:     int64(cell.PagesPerBlock),
-		super:   int64(geo.BlocksPerPlane),
-		l2p:     make(map[int64]int64),
-		p2l:     make(map[int64]int64),
-		dead:    make(map[int64]bool),
-		active:  -1,
-		reserve: cfg.ReserveSuperblocks,
-		probe:   obs.Nop{},
+		geo:    geo,
+		cell:   cell,
+		rowsz:  int64(geo.Channels * cell.Planes * geo.DiesPerChannel()),
+		ppb:    int64(cell.PagesPerBlock),
+		super:  int64(geo.BlocksPerPlane),
+		l2p:    make(map[int64]int64),
+		p2l:    make(map[int64]int64),
+		dead:   make(map[int64]bool),
+		active: -1,
+		probe:  obs.Nop{},
 	}
 	f.spb = f.rowsz * f.ppb
 	f.sb = make([]superblock, f.super)
@@ -200,9 +196,9 @@ func (f *FTL) superOf(ppn int64) int64 { return ppn / f.spb }
 func (f *FTL) Preload(bytes int64) error {
 	pages := (bytes + f.cell.PageSize - 1) / f.cell.PageSize
 	supers := (pages + f.spb - 1) / f.spb
-	if supers > f.super-int64(f.reserve) {
+	if supers > f.super-gcReserve {
 		return fmt.Errorf("ftl: preload of %d bytes needs %d superblocks, only %d available",
-			bytes, supers, f.super-int64(f.reserve))
+			bytes, supers, f.super-gcReserve)
 	}
 	// Rebuild the free heap without the preloaded superblocks.
 	f.freeHeap = f.freeHeap[:0]
@@ -368,7 +364,7 @@ func (f *FTL) maybeGC(ops []nvm.PageOp) []nvm.PageOp {
 	}
 	f.inGC = true
 	defer func() { f.inGC = false }()
-	for f.freeHeap.Len() < f.reserve {
+	for f.freeHeap.Len() < gcReserve {
 		victim := f.pickVictim()
 		if victim < 0 {
 			break // nothing reclaimable

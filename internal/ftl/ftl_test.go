@@ -14,7 +14,7 @@ func smallGeo() nvm.Geometry {
 
 func newSmall(t *testing.T, cell nvm.CellType) *FTL {
 	t.Helper()
-	f, err := New(smallGeo(), nvm.Params(cell), Config{ReserveSuperblocks: 2})
+	f, err := New(smallGeo(), nvm.Params(cell), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func FuzzFTLMapping(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ftl, err := New(
 			nvm.Geometry{Channels: 2, PackagesPerChannel: 1, DiesPerPackage: 2, BlocksPerPlane: 8},
-			nvm.Params(nvm.SLC), Config{ReserveSuperblocks: 2})
+			nvm.Params(nvm.SLC), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

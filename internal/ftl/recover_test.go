@@ -10,8 +10,7 @@ import (
 func newDurable(t *testing.T, cell nvm.CellType, every int64) *FTL {
 	t.Helper()
 	f, err := New(smallGeo(), nvm.Params(cell), Config{
-		ReserveSuperblocks: 2,
-		Durable:            DurableConfig{Enabled: true, CheckpointEveryPages: every},
+		Durable: DurableConfig{Enabled: true, CheckpointEveryPages: every},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ func TestRecoverCleanEquivalence(t *testing.T) {
 	if torn {
 		t.Fatal("untorn workload reported a tear")
 	}
-	rf, rep, err := Recover(smallGeo(), nvm.Params(nvm.SLC), Config{ReserveSuperblocks: 2}, f.Media())
+	rf, rep, err := Recover(smallGeo(), nvm.Params(nvm.SLC), Config{}, f.Media())
 	if err != nil {
 		t.Fatalf("recover: %v (report %+v)", err, rep)
 	}
@@ -112,8 +111,8 @@ func TestRecoverTwiceIdentical(t *testing.T) {
 		t.Fatal("tear point never reached")
 	}
 	geo, cell := smallGeo(), nvm.Params(nvm.SLC)
-	a, repA, errA := Recover(geo, cell, Config{ReserveSuperblocks: 2}, f2.Media())
-	b, repB, errB := Recover(geo, cell, Config{ReserveSuperblocks: 2}, f2.Media())
+	a, repA, errA := Recover(geo, cell, Config{}, f2.Media())
+	b, repB, errB := Recover(geo, cell, Config{}, f2.Media())
 	if errA != nil || errB != nil {
 		t.Fatalf("recover: %v / %v", errA, errB)
 	}
@@ -146,7 +145,7 @@ func TestRecoverTornPointsInvariants(t *testing.T) {
 		if !torn {
 			t.Fatalf("tear at %d never fired", tearAt)
 		}
-		rf, rep, err := Recover(smallGeo(), nvm.Params(nvm.SLC), Config{ReserveSuperblocks: 2}, f.Media())
+		rf, rep, err := Recover(smallGeo(), nvm.Params(nvm.SLC), Config{}, f.Media())
 		if err != nil {
 			t.Fatalf("tear %d: recover: %v", tearAt, err)
 		}
@@ -196,7 +195,7 @@ func TestRecoverUnrecoverableJournal(t *testing.T) {
 	if corrupted == 0 {
 		t.Fatal("nothing corrupted")
 	}
-	rf, rep, err := Recover(smallGeo(), nvm.Params(nvm.SLC), Config{ReserveSuperblocks: 2}, m)
+	rf, rep, err := Recover(smallGeo(), nvm.Params(nvm.SLC), Config{}, m)
 	if !errors.Is(err, ErrUnrecoverableMeta) {
 		t.Fatalf("got %v, want ErrUnrecoverableMeta", err)
 	}

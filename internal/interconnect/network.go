@@ -39,17 +39,6 @@ func FibreChannel8G() NetworkParams {
 	}
 }
 
-// FortyGigE models the 40 Gigabit Ethernet alternative §4.3 mentions.
-func FortyGigE() NetworkParams {
-	return NetworkParams{
-		Name:       "40GigE",
-		SignalGbps: 40, EncodingNum: 64, EncodingDen: 66,
-		ProtocolEff: 0.60,
-		RoundTrip:   40 * sim.Microsecond,
-		ShareFactor: 0.5,
-	}
-}
-
 // EffectiveBytesPerSec returns the data bandwidth one consumer sees.
 func (n NetworkParams) EffectiveBytesPerSec() float64 {
 	bw := n.SignalGbps * 1e9 / 8 * float64(n.EncodingNum) / float64(n.EncodingDen)

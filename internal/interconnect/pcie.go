@@ -116,9 +116,6 @@ func NewPCIeLine(c PCIeConfig) *Line {
 	return NewLine(c.String(), c.EffectiveBytesPerSec(), c.RequestOverhead())
 }
 
-// Name identifies the link in reports.
-func (l *Line) Name() string { return l.name }
-
 // Transfer books n bytes no earlier than at and returns the completion time.
 func (l *Line) Transfer(at sim.Time, n int64) sim.Time {
 	start, end := l.tl.Acquire(at, sim.DurationForBytes(n, l.bps))
@@ -139,9 +136,6 @@ func (l *Line) BytesPerSec() float64 { return l.bps }
 
 // Busy reports accumulated transfer time, for utilization probes.
 func (l *Line) Busy() sim.Time { return l.tl.Busy() }
-
-// Reset clears the link's schedule.
-func (l *Line) Reset() { l.tl.Reset() }
 
 // Infinite is a link with no cost at all, used to measure what the media
 // could deliver if the host path were removed ("bandwidth remaining",

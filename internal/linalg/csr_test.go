@@ -148,17 +148,17 @@ func TestCSRLinearityProperty(t *testing.T) {
 		a, b := float64(a8)/16, float64(b8)/16
 		x := randomMatrix(rng, 16, 2)
 		y := randomMatrix(rng, 16, 2)
-		// aX + bY
-		mix := x.Clone()
-		mix.Scale(a)
-		mix.AddScaled(b, y)
-		left := m.Mul(mix)
-		mx := m.Mul(x)
-		my := m.Mul(y)
-		mx.Scale(a)
-		mx.AddScaled(b, my)
+		combine := func(x, y *Matrix) *Matrix { // aX + bY
+			out := x.Clone()
+			for i := range out.Data {
+				out.Data[i] = a*x.Data[i] + b*y.Data[i]
+			}
+			return out
+		}
+		left := m.Mul(combine(x, y))
+		right := combine(m.Mul(x), m.Mul(y))
 		for i := range left.Data {
-			if !almostEqual(left.Data[i], mx.Data[i], 1e-9) {
+			if !almostEqual(left.Data[i], right.Data[i], 1e-9) {
 				return false
 			}
 		}

@@ -102,23 +102,6 @@ func (m *Matrix) TransMul(b *Matrix) *Matrix {
 	return c
 }
 
-// AddScaled computes m += s·b in place.
-func (m *Matrix) AddScaled(s float64, b *Matrix) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: AddScaled shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += s * b.Data[i]
-	}
-}
-
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // HCat returns [blocks...] joined left to right. Nil blocks are skipped.
 func HCat(blocks ...*Matrix) *Matrix {
 	rows, cols := 0, 0

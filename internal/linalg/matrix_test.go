@@ -121,23 +121,6 @@ func TestTransMulMatchesExplicit(t *testing.T) {
 	}
 }
 
-func TestAddScaledAndScale(t *testing.T) {
-	a := NewMatrix(1, 3)
-	b := NewMatrix(1, 3)
-	for i := 0; i < 3; i++ {
-		a.Set(0, i, float64(i))
-		b.Set(0, i, 1)
-	}
-	a.AddScaled(2, b) // a = [2,3,4]
-	if a.At(0, 0) != 2 || a.At(0, 2) != 4 {
-		t.Fatalf("AddScaled = %v", a.Data)
-	}
-	a.Scale(0.5)
-	if a.At(0, 0) != 1 || a.At(0, 2) != 2 {
-		t.Fatalf("Scale = %v", a.Data)
-	}
-}
-
 func TestHCatAndSlice(t *testing.T) {
 	a := NewMatrix(2, 1)
 	a.Set(0, 0, 1)

@@ -52,9 +52,6 @@ func NewJournal(name string, chunks int, chunkBytes int64) (*Journal, error) {
 	}, nil
 }
 
-// Chunks reports the transfer's chunk population.
-func (j *Journal) Chunks() int { return j.chunks }
-
 // Done reports whether chunk i is verified.
 func (j *Journal) Done(i int) bool {
 	if i < 0 || i >= j.chunks {
@@ -215,37 +212,4 @@ func (j *Journal) Adopt(slots [2][]byte) {
 	j.slots[1] = append([]byte(nil), slots[1]...)
 	j.current = 0
 	j.valid = len(slots[0]) > 0 || len(slots[1]) > 0
-}
-
-// CorruptSlot XORs mask into byte off of the chosen persisted slot
-// (0 = newest, 1 = previous), for torn-write tests.
-func (j *Journal) CorruptSlot(slotFromNewest int, off int, mask byte) {
-	slot := j.current
-	if slotFromNewest == 1 {
-		slot = 1 - j.current
-	}
-	if off >= 0 && off < len(j.slots[slot]) && mask != 0 {
-		j.slots[slot][off] ^= mask
-	}
-}
-
-// TruncateSlot cuts the chosen persisted slot to n bytes, for torn-write
-// tests.
-func (j *Journal) TruncateSlot(slotFromNewest int, n int) {
-	slot := j.current
-	if slotFromNewest == 1 {
-		slot = 1 - j.current
-	}
-	if n >= 0 && n < len(j.slots[slot]) {
-		j.slots[slot] = j.slots[slot][:n]
-	}
-}
-
-// SlotLen reports the byte length of the chosen persisted slot.
-func (j *Journal) SlotLen(slotFromNewest int) int {
-	slot := j.current
-	if slotFromNewest == 1 {
-		slot = 1 - j.current
-	}
-	return len(j.slots[slot])
 }

@@ -1,9 +1,6 @@
 package netfault
 
-import (
-	"oocnvm/internal/obs"
-	"oocnvm/internal/sim"
-)
+import "oocnvm/internal/sim"
 
 // Link is the data path a transfer crosses: both *interconnect.Line and
 // *interconnect.Chain satisfy it, so a profile can wrap a single fabric
@@ -19,37 +16,17 @@ type Link interface {
 
 // Degraded wraps a Link in a degradation Profile. The wrapper owns the
 // bandwidth-cap pacing timeline, so a capped path serializes chunks at the
-// capped rate no matter how fast the underlying link is, and prebuilds its
-// counter names so the transfer hot path never concatenates strings.
+// capped rate no matter how fast the underlying link is.
 type Degraded struct {
 	link Link
 	prof Profile
 
-	cap   sim.Timeline // bandwidth-cap pacing; unused when uncapped
-	probe obs.Probe
-
-	lossCounter, corruptCounter, retryCounter     string
-	wireCounter, goodCounter, stallGauge, chunksC string
+	cap sim.Timeline // bandwidth-cap pacing; unused when uncapped
 }
 
 // Wrap degrades the link with the profile.
 func Wrap(l Link, p Profile) *Degraded {
-	return &Degraded{link: l, prof: p, probe: obs.Nop{}}
-}
-
-// SetProbe attaches an observability probe: loss/corruption/retry/chunk
-// counters, wire and goodput byte counters, and a cumulative stall gauge,
-// all under "netfault.<profile>.".
-func (d *Degraded) SetProbe(p obs.Probe) {
-	d.probe = obs.OrNop(p)
-	prefix := "netfault." + d.prof.Name + "."
-	d.lossCounter = prefix + "losses"
-	d.corruptCounter = prefix + "corruptions"
-	d.retryCounter = prefix + "retries"
-	d.wireCounter = prefix + "wire_bytes"
-	d.goodCounter = prefix + "goodput_bytes"
-	d.stallGauge = prefix + "stall_ps"
-	d.chunksC = prefix + "chunks"
+	return &Degraded{link: l, prof: p}
 }
 
 // Profile reports the wrapped degradation profile.

@@ -61,12 +61,6 @@ type Profile struct {
 	Outages []Window
 }
 
-// Enabled reports whether the profile can perturb anything at all.
-func (p Profile) Enabled() bool {
-	return p.AddedLatency > 0 || p.Jitter > 0 || p.LossProb > 0 ||
-		p.CorruptProb > 0 || p.BandwidthCapBps > 0 || len(p.Outages) > 0
-}
-
 // Available returns the earliest instant at or after t the fabric accepts
 // a new attempt. ok is false when t falls inside a window that never ends:
 // no availability remains and the transfer cannot complete.

@@ -6,17 +6,11 @@ import (
 	"hash/fnv"
 
 	"oocnvm/internal/obs/attrib"
-	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/sim"
 )
 
 // Transfer failure modes.
 var (
-	// ErrChunkLost marks an attempt that vanished in the fabric (timeout).
-	ErrChunkLost = errors.New("netfault: chunk lost (ack timeout)")
-	// ErrChunkCorrupt marks an attempt that arrived but failed its
-	// per-chunk FNV checksum.
-	ErrChunkCorrupt = errors.New("netfault: chunk failed checksum verification")
 	// ErrNoAvailability marks a transfer stalled inside an outage window
 	// that never lifts: no schedule can complete it.
 	ErrNoAvailability = errors.New("netfault: outage windows leave no availability")
@@ -43,19 +37,6 @@ type Spec struct {
 	// loss/corruption pattern and the final bitmap are identical at any
 	// parallelism; only timings shift.
 	Parallel int
-	// MaxAttempts bounds per-chunk delivery attempts (default 8).
-	MaxAttempts int
-	// BaseBackoff seeds the exponential backoff between attempts (default
-	// 1 ms), doubling per retry up to MaxBackoff (default 128 ms), plus a
-	// deterministic jitter of up to half the computed delay.
-	BaseBackoff sim.Time
-	MaxBackoff  sim.Time
-	// Timeout is the per-attempt ack timeout a lost chunk burns. Zero
-	// derives 2× the clean chunk time plus overhead and jitter headroom.
-	Timeout sim.Time
-	// JournalEvery checkpoints the chunk bitmap after this many newly
-	// verified chunks (default 16).
-	JournalEvery int
 	// Seed drives every fault and jitter draw via per-(chunk, attempt)
 	// derived streams.
 	Seed uint64
@@ -72,6 +53,18 @@ type Spec struct {
 	StopAfter int
 }
 
+// Each chunk gets at most maxAttempts delivery attempts. The backoff
+// between attempts starts at baseBackoff and doubles per retry up to
+// maxBackoff, plus a deterministic jitter of up to half the computed delay.
+// The journal checkpoints the chunk bitmap after every journalEvery newly
+// verified chunks, and once more when the run ends.
+const (
+	maxAttempts  = 8
+	baseBackoff  = sim.Millisecond
+	maxBackoff   = 128 * sim.Millisecond
+	journalEvery = 16
+)
+
 // withDefaults fills the zero fields.
 func (s Spec) withDefaults() Spec {
 	if s.ChunkBytes <= 0 {
@@ -79,18 +72,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Parallel <= 0 {
 		s.Parallel = 1
-	}
-	if s.MaxAttempts <= 0 {
-		s.MaxAttempts = 8
-	}
-	if s.BaseBackoff <= 0 {
-		s.BaseBackoff = sim.Millisecond
-	}
-	if s.MaxBackoff <= 0 {
-		s.MaxBackoff = 128 * sim.Millisecond
-	}
-	if s.JournalEvery <= 0 {
-		s.JournalEvery = 16
 	}
 	return s
 }
@@ -155,12 +136,6 @@ type Transfer struct {
 	link *Degraded
 	j    *Journal
 	rec  *attrib.Recorder
-	samp *timeseries.Sampler
-
-	// live counters the sampler's series read
-	payloadBytes int64
-	wireBytes    int64
-	retries      int64
 }
 
 // NewTransfer builds a transfer of spec over the degraded link.
@@ -175,19 +150,9 @@ func NewTransfer(spec Spec, link *Degraded) (*Transfer, error) {
 	return &Transfer{spec: spec, link: link}, nil
 }
 
-// SetJournal attaches a persisted chunk-bitmap journal; Run restores it
-// and skips already-verified chunks. The journal's geometry must match.
-func (t *Transfer) SetJournal(j *Journal) error {
-	if j != nil && (j.chunks != t.Chunks() || j.chunkBytes != t.spec.ChunkBytes ||
-		j.nameSum != nameFNV(t.spec.Name)) {
-		return fmt.Errorf("netfault: journal does not match transfer %q", t.spec.Name)
-	}
-	t.j = j
-	return nil
-}
-
-// Journal returns the attached journal, creating a fresh one on demand so
-// every run can be interrupted and resumed.
+// Journal returns the transfer's chunk-bitmap journal, creating it on
+// first use so every run can be interrupted and resumed: Run restores it
+// and skips already-verified chunks.
 func (t *Transfer) Journal() *Journal {
 	if t.j == nil {
 		t.j, _ = NewJournal(t.spec.Name, t.Chunks(), t.spec.ChunkBytes)
@@ -199,19 +164,6 @@ func (t *Transfer) Journal() *Journal {
 // link wait/transfer, retry, recovery) into rec; segments telescope to
 // exactly each chunk's arrival-to-verified latency.
 func (t *Transfer) SetRecorder(rec *attrib.Recorder) { t.rec = rec }
-
-// SetSampler registers the transfer's goodput, retry-rate and wire-byte
-// series on samp and advances it as the transfer's clock moves.
-func (t *Transfer) SetSampler(s *timeseries.Sampler) {
-	t.samp = s
-	if s == nil {
-		return
-	}
-	prefix := "netfault." + t.spec.Name + "."
-	s.AddRate(prefix+"goodput_Bps", func(sim.Time) float64 { return float64(t.payloadBytes) })
-	s.AddRate(prefix+"wire_Bps", func(sim.Time) float64 { return float64(t.wireBytes) })
-	s.AddDelta(prefix+"retries", func(sim.Time) float64 { return float64(t.retries) })
-}
 
 // Chunks reports the transfer's chunk population.
 func (t *Transfer) Chunks() int {
@@ -241,11 +193,9 @@ func attemptRNG(seed uint64, chunk, attempt int) *sim.RNG {
 	return sim.NewRNG(x)
 }
 
-// timeout resolves the per-attempt ack timeout.
+// timeout is the per-attempt ack timeout a lost chunk burns: twice the
+// clean chunk time plus overhead and jitter headroom.
 func (t *Transfer) timeout() sim.Time {
-	if t.spec.Timeout > 0 {
-		return t.spec.Timeout
-	}
 	clean := sim.DurationForBytes(t.spec.ChunkBytes, t.link.EffectiveBps())
 	return 2 * (clean + t.link.Overhead() + t.link.Profile().Jitter)
 }
@@ -264,7 +214,6 @@ func (t *Transfer) Run(from sim.Time) (Result, error) {
 		Chunks:     t.Chunks(),
 		Start:      from,
 	}
-	t.payloadBytes, t.wireBytes, t.retries = 0, 0, 0
 	res.Skipped = j.Restore()
 
 	avail := make([]sim.Time, spec.Parallel)
@@ -295,14 +244,11 @@ chunks:
 		if done > end {
 			end = done
 		}
-		if t.samp != nil {
-			t.samp.Advance(end)
-		}
 		res.PayloadFNV ^= chunkSum(spec.Name, i) // verified end to end
 		j.Mark(i)
 		res.Delivered++
 		sinceCkpt++
-		if sinceCkpt >= spec.JournalEvery {
+		if sinceCkpt >= journalEvery {
 			j.Checkpoint()
 			sinceCkpt = 0
 		}
@@ -319,14 +265,9 @@ chunks:
 	if runErr != nil {
 		res.Err = runErr.Error()
 	}
-	res.PayloadBytes = t.payloadBytes
-	res.WireBytes = t.wireBytes
 	res.Goodput = sim.Rate(res.PayloadBytes, res.End-res.Start)
 	res.BitmapFNV = j.BitmapFNV()
 	res.JournalWrites = j.Writes()
-	if t.samp != nil && end > from {
-		t.samp.Advance(end)
-	}
 	return res, runErr
 }
 
@@ -346,7 +287,7 @@ func (t *Transfer) chunk(i int, off, n int64, at sim.Time, res *Result) (sim.Tim
 
 	rec.Begin(spec.Kind, off, n, at)
 	now := at
-	for attempt := 0; attempt < spec.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		rng := attemptRNG(spec.Seed, i, attempt)
 		aStart := now
 
@@ -381,13 +322,8 @@ func (t *Transfer) chunk(i int, off, n int64, at sim.Time, res *Result) (sim.Tim
 			res.Attempts++
 			res.Losses++
 			res.Retries++
-			t.retries++
 			res.RetryTime += now - aStart
 			rec.Note(attrib.Retry, now-aStart)
-			if d.probe.Enabled() {
-				d.probe.Count(d.lossCounter, 1)
-				d.probe.Count(d.retryCounter, 1)
-			}
 			var err error
 			now, err = t.backoff(attempt, rng, now, res)
 			if err != nil {
@@ -406,22 +342,13 @@ func (t *Transfer) chunk(i int, off, n int64, at sim.Time, res *Result) (sim.Tim
 		}
 		res.Attempts++
 		res.WireBytes += n
-		t.wireBytes += n
-		if d.probe.Enabled() {
-			d.probe.Count(d.wireCounter, n)
-		}
 
 		if rng.Bool(prof.CorruptProb) {
 			// Arrived damaged: the FNV verification rejects it.
 			res.Corruptions++
 			res.Retries++
-			t.retries++
 			res.RetryTime += sent - aStart
 			rec.Note(attrib.Retry, sent-aStart)
-			if d.probe.Enabled() {
-				d.probe.Count(d.corruptCounter, 1)
-				d.probe.Count(d.retryCounter, 1)
-			}
 			now = sent
 			var err error
 			now, err = t.backoff(attempt, rng, now, res)
@@ -448,13 +375,6 @@ func (t *Transfer) chunk(i int, off, n int64, at sim.Time, res *Result) (sim.Tim
 		rec.Note(attrib.DieService, sinkDur)
 		rec.Commit(done)
 		res.PayloadBytes += n
-		t.payloadBytes += n
-		if d.probe.Enabled() {
-			d.probe.Count(d.goodCounter, n)
-			d.probe.Count(d.chunksC, 1)
-			d.probe.Span("netfault", spec.Name, "chunk", aStart, done)
-			d.probe.SetGauge(d.stallGauge, float64(res.StallTime))
-		}
 		return done, nil
 	}
 	rec.Abort()
@@ -464,12 +384,12 @@ func (t *Transfer) chunk(i int, off, n int64, at sim.Time, res *Result) (sim.Tim
 // backoff books the exponential inter-attempt delay (with deterministic
 // jitter from the attempt's stream) and attributes it to recovery.
 func (t *Transfer) backoff(attempt int, rng *sim.RNG, now sim.Time, res *Result) (sim.Time, error) {
-	if attempt == t.spec.MaxAttempts-1 {
+	if attempt == maxAttempts-1 {
 		return now, ErrRetriesExhausted
 	}
-	b := t.spec.BaseBackoff << uint(attempt)
-	if b > t.spec.MaxBackoff || b <= 0 {
-		b = t.spec.MaxBackoff
+	b := baseBackoff << uint(attempt)
+	if b > maxBackoff || b <= 0 {
+		b = maxBackoff
 	}
 	b += sim.Time(rng.Int63n(int64(b/2) + 1))
 	now += b

@@ -14,16 +14,6 @@ type Breakdown struct {
 	CellActivation    sim.Time // the read/program/erase on the cell array itself
 }
 
-// Add accumulates o into b.
-func (b *Breakdown) Add(o Breakdown) {
-	b.NonOverlappedDMA += o.NonOverlappedDMA
-	b.FlashBus += o.FlashBus
-	b.ChannelBus += o.ChannelBus
-	b.CellContention += o.CellContention
-	b.ChannelContention += o.ChannelContention
-	b.CellActivation += o.CellActivation
-}
-
 // Total returns the sum over all six states.
 func (b Breakdown) Total() sim.Time {
 	return b.NonOverlappedDMA + b.FlashBus + b.ChannelBus +

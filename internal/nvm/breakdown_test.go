@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func TestBreakdownAddTotal(t *testing.T) {
-	var b Breakdown
-	b.Add(Breakdown{NonOverlappedDMA: 1, FlashBus: 2, ChannelBus: 3, CellContention: 4, ChannelContention: 5, CellActivation: 6})
-	b.Add(Breakdown{CellActivation: 4})
-	if got := b.Total(); got != 25 {
-		t.Fatalf("Total = %v, want 25", got)
-	}
-}
-
 func TestBreakdownPercentagesSumToOne(t *testing.T) {
 	b := Breakdown{NonOverlappedDMA: 10, FlashBus: 20, ChannelBus: 30, CellContention: 5, ChannelContention: 15, CellActivation: 20}
 	p := b.Percentages()

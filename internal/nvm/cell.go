@@ -7,6 +7,7 @@ package nvm
 
 import (
 	"fmt"
+	"strings"
 
 	"oocnvm/internal/sim"
 )
@@ -39,6 +40,19 @@ func (c CellType) String() string {
 	default:
 		return fmt.Sprintf("CellType(%d)", int(c))
 	}
+}
+
+// ParseCell returns the cell type whose name (as String gives it) matches
+// name case-insensitively; the error lists the valid names.
+func ParseCell(name string) (CellType, error) {
+	names := make([]string, len(CellTypes))
+	for i, c := range CellTypes {
+		if strings.EqualFold(name, c.String()) {
+			return c, nil
+		}
+		names[i] = c.String()
+	}
+	return 0, fmt.Errorf("nvm: unknown cell type %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // CellParams carries the per-medium timing and organization parameters.

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"strings"
 	"testing"
 
 	"oocnvm/internal/sim"
@@ -122,6 +123,25 @@ func TestCellTypeStrings(t *testing.T) {
 	}
 	if CellType(42).String() != "CellType(42)" {
 		t.Fatal("unknown cell type should render its number")
+	}
+}
+
+func TestParseCell(t *testing.T) {
+	for _, c := range CellTypes {
+		for _, name := range []string{c.String(), strings.ToLower(c.String())} {
+			if got, err := ParseCell(name); err != nil || got != c {
+				t.Errorf("ParseCell(%q) = %v, %v; want %v", name, got, err, c)
+			}
+		}
+	}
+	_, err := ParseCell("QLC")
+	if err == nil {
+		t.Fatal("QLC accepted")
+	}
+	for _, c := range CellTypes {
+		if !strings.Contains(err.Error(), c.String()) {
+			t.Errorf("error %q does not list %v", err, c)
+		}
 	}
 }
 

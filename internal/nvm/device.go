@@ -96,7 +96,6 @@ type Device struct {
 
 	breakdown  Breakdown
 	pal        PALHistogram
-	eraseCount map[Location]int64 // wear accounting per die/plane
 	started    bool
 	firstIssue sim.Time
 	lastEnd    sim.Time
@@ -205,7 +204,6 @@ func NewDevice(geo Geometry, cell CellParams, bus BusParams, link Link, seed uin
 		pkgCover:    make([][]sim.IntervalSet, geo.Channels),
 		chContMark:  make([]sim.Time, geo.Channels),
 		dieContMark: make([][]sim.Time, geo.Channels),
-		eraseCount:  make(map[Location]int64),
 	}
 	for c := range d.dies {
 		d.dies[c] = make([]sim.Timeline, geo.DiesPerChannel())
@@ -876,8 +874,6 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 				break
 			}
 			d.cErases.Inc()
-			key := Location{Channel: op.Loc.Channel, Die: op.Loc.Die, Plane: op.Loc.Plane}
-			d.eraseCount[key]++
 			if d.media != nil {
 				d.media.MediaErase(op, false)
 			}

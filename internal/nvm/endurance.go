@@ -37,16 +37,3 @@ func Lifetime(cell CellParams, capacityBytes, dailyWriteBytes int64, writeAmp fl
 	perYear := float64(dailyWriteBytes) * writeAmp * 365
 	return totalWritable / perYear, nil
 }
-
-// DrivesPerYearForWorkload inverts Lifetime: how many devices per year a
-// write workload burns through.
-func DrivesPerYearForWorkload(cell CellParams, capacityBytes, dailyWriteBytes int64, writeAmp float64) (float64, error) {
-	years, err := Lifetime(cell, capacityBytes, dailyWriteBytes, writeAmp)
-	if err != nil {
-		return 0, err
-	}
-	if years <= 0 {
-		return 0, fmt.Errorf("nvm: degenerate lifetime")
-	}
-	return 1 / years, nil
-}

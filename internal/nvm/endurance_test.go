@@ -73,15 +73,3 @@ func TestLifetimeValidation(t *testing.T) {
 		t.Fatal("write amplification below 1 accepted")
 	}
 }
-
-func TestDrivesPerYear(t *testing.T) {
-	cell := Params(TLC)
-	perYear, err := DrivesPerYearForWorkload(cell, 1<<40, 100<<40, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	years, _ := Lifetime(cell, 1<<40, 100<<40, 2)
-	if diff := perYear*years - 1; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("inversion broken: %v drives/yr x %v yr != 1", perYear, years)
-	}
-}

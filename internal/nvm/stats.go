@@ -113,10 +113,6 @@ func (d *Device) Stats() Stats {
 	return st
 }
 
-// EraseCount reports how many erases a given die/plane has absorbed, for the
-// wear-leveling substrate and its tests.
-func (d *Device) EraseCount(loc Location) int64 { return d.eraseCount[loc] }
-
 // DieFreeAt reports when the given die's timeline next becomes idle — the
 // physical-availability signal conflict-aware schedulers (PAQ) steer by.
 func (d *Device) DieFreeAt(channel, die int) sim.Time {
@@ -124,21 +120,4 @@ func (d *Device) DieFreeAt(channel, die int) sim.Time {
 		return 0
 	}
 	return d.dies[channel][die].FreeAt()
-}
-
-// IdealReadBandwidth returns the analytic read capability of the media under
-// perfect parallelism: per channel, the lesser of the bus rate and the
-// aggregate die sensing rate with full multi-plane merging and pipelining.
-func (d *Device) IdealReadBandwidth() float64 {
-	planes := d.Cell.Planes
-	perAct := float64(int64(planes) * d.Cell.PageSize)
-	cycle := d.Cell.ReadLatency + sim.Time(planes)*(d.regTime()+d.Bus.TransferTime(d.Cell.PageSize))
-	dieRate := perAct / cycle.Seconds()
-	cellRate := dieRate * float64(d.Geo.DiesPerChannel())
-	bus := d.Bus.BytesPerSec()
-	per := cellRate
-	if bus < per {
-		per = bus
-	}
-	return per * float64(d.Geo.Channels)
 }

@@ -148,18 +148,6 @@ func (r Record) Sum() sim.Time {
 // record when the conservation invariant holds.
 func (r Record) Residual() sim.Time { return r.Latency() - r.Sum() }
 
-// Dominant returns the component holding the largest share (ties to the
-// earlier component in waterfall order) and its duration.
-func (r Record) Dominant() (Component, sim.Time) {
-	dc, dv := Component(0), sim.Time(0)
-	for c, d := range r.Comp {
-		if d > dv {
-			dc, dv = Component(c), d
-		}
-	}
-	return dc, dv
-}
-
 // DefaultTopK is the default slow-request exemplar capacity.
 const DefaultTopK = 16
 
@@ -306,17 +294,6 @@ func (rec *Recorder) Resume() {
 // noFold marks an ordinary activation chain that commits per-component.
 const noFold Component = -1
 
-// StartActivation opens one cell activation's chain. gc marks a chain
-// carrying only garbage-collection traffic; if it wins the critical path
-// its whole chain is folded into the GC component.
-func (rec *Recorder) StartActivation(gc bool) {
-	fold := noFold
-	if gc {
-		fold = GC
-	}
-	rec.StartActivationFold(fold)
-}
-
 // StartActivationFold opens one cell activation's chain that, should it
 // win the critical path, collapses wholesale into the given component
 // (GC for relocation-only, Meta for journal-only activations). Pass a
@@ -455,47 +432,12 @@ func (rec *Recorder) offer(r Record) {
 	}
 }
 
-// Reset clears the recorder's aggregates, exemplar heap and any open
-// request while keeping the exemplar backing storage and the registry
-// histogram bindings, so a recorder reused across runs records into
-// recycled memory. The request ID sequence restarts at zero.
-func (rec *Recorder) Reset() {
-	if rec == nil {
-		return
-	}
-	rec.active = false
-	rec.paused = 0
-	rec.nextID = 0
-	rec.inAct = false
-	rec.bestSet = false
-	rec.bestFold = noFold
-	rec.bestEnd = 0
-	rec.requests = 0
-	rec.aborted = 0
-	rec.violations = 0
-	rec.maxResidual = 0
-	rec.totalLatency = 0
-	rec.totals = [NumComponents]sim.Time{}
-	rec.dominant = [NumComponents]int64{}
-	rec.topK = rec.topK[:0]
-}
-
 // Requests reports how many requests have been committed.
 func (rec *Recorder) Requests() int64 {
 	if rec == nil {
 		return 0
 	}
 	return rec.requests
-}
-
-// Violations reports how many committed requests broke conservation
-// (components failed to sum to the end-to-end latency) — always zero when
-// the instrumentation is correct.
-func (rec *Recorder) Violations() int64 {
-	if rec == nil {
-		return 0
-	}
-	return rec.violations
 }
 
 // Summary is the analysis-ready aggregate of one recorder's lifetime.

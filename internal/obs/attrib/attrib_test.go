@@ -42,10 +42,6 @@ func TestRecordArithmetic(t *testing.T) {
 	if r.Sum() != 300 || r.Residual() != 0 {
 		t.Fatalf("sum = %v residual = %v", r.Sum(), r.Residual())
 	}
-	c, d := r.Dominant()
-	if c != DieService || d != 200 {
-		t.Fatalf("dominant = %v/%v", c, d)
-	}
 	r.Comp[DieService] = 100
 	if r.Residual() != 100 {
 		t.Fatalf("residual after breaking conservation = %v", r.Residual())
@@ -169,8 +165,8 @@ func TestAbortAndViolationAccounting(t *testing.T) {
 	if s.Violations != 1 || s.MaxResidual != 70 {
 		t.Fatalf("violations = %d maxResidual = %v", s.Violations, s.MaxResidual)
 	}
-	if rec.Violations() != 1 || rec.Requests() != 1 {
-		t.Fatalf("accessors: violations=%d requests=%d", rec.Violations(), rec.Requests())
+	if rec.Summary().Violations != 1 || rec.Requests() != 1 {
+		t.Fatalf("accessors: violations=%d requests=%d", rec.Summary().Violations, rec.Requests())
 	}
 }
 
@@ -223,7 +219,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if rec.DeviceActive() {
 		t.Fatal("nil recorder active")
 	}
-	if rec.Requests() != 0 || rec.Violations() != 0 {
+	if rec.Requests() != 0 || rec.Summary().Violations != 0 {
 		t.Fatal("nil recorder counted")
 	}
 	if s := rec.Summary(); s.Requests != 0 || len(s.Exemplars) != 0 {
@@ -327,4 +323,15 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(200, cycle); got != 0 {
 		t.Fatalf("steady-state allocations per request = %v, want 0", got)
 	}
+}
+
+// StartActivation opens one cell activation's chain. gc marks a chain
+// carrying only garbage-collection traffic; if it wins the critical path
+// its whole chain is folded into the GC component.
+func (rec *Recorder) StartActivation(gc bool) {
+	fold := noFold
+	if gc {
+		fold = GC
+	}
+	rec.StartActivationFold(fold)
 }

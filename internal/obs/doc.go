@@ -1,6 +1,6 @@
 // Package obs is the repository's unified observability layer: a
 // zero-dependency metrics registry and a span-based event tracer shared by
-// every simulated subsystem (fs → ftl → ssd → interconnect → nvm → dooc).
+// every simulated subsystem (fs → ftl → ssd → interconnect → nvm).
 //
 // The paper's entire argument rests on measurement visibility — its probes
 // decompose device time into channel-bus, die and contention components
@@ -24,8 +24,8 @@
 // produces a file loadable in chrome://tracing or https://ui.perfetto.dev
 // that shows per-channel bus transfers, per-die cell activations, SSD queue
 // residency and host-link DMA on one timeline. The tracer is bounded
-// (SetLimit); events beyond the limit are counted in Dropped rather than
-// silently discarded.
+// (DefaultTraceLimit); events beyond the limit are counted in Dropped rather
+// than silently discarded.
 //
 // Layers whose work is not scheduled in simulated time (the file-system
 // translation layers, which run ahead of the replay) lay their translate
@@ -46,8 +46,7 @@
 // # Naming conventions
 //
 // Metric names are dot-separated and layer-prefixed: "nvm.bytes_read",
-// "ssd.request.latency", "ftl.gc.runs", "interconnect.bytes",
-// "dooc.sched.tasks_completed". Histograms of simulated durations use "_ps"
+// "ssd.request.latency", "ftl.gc.runs", "interconnect.bytes". Histograms of simulated durations use "_ps"
 // suffixed fields in exports; gauges that mirror derived statistics
 // (utilizations, bandwidth) carry their unit in the name.
 package obs

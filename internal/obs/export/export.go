@@ -153,7 +153,15 @@ func (f *Flags) Recorder(col *obs.Collector) *attrib.Recorder {
 // StartProfiles begins the requested runtime/pprof captures and returns a
 // stop function that finishes them (ends the CPU profile, snapshots the
 // heap). The stop function is safe to call when no profile was requested.
+// Every command calls it before doing any work, so it is also where a
+// negative -sample-us or -attrib-top is rejected; zero keeps its default.
 func (f *Flags) StartProfiles() (stop func() error, err error) {
+	if f.SampleUS < 0 {
+		return nil, fmt.Errorf("-sample-us must not be negative, got %d", f.SampleUS)
+	}
+	if f.AttribTop < 0 {
+		return nil, fmt.Errorf("-attrib-top must not be negative, got %d", f.AttribTop)
+	}
 	var cpuFile *os.File
 	if f.CPUProfile != "" {
 		cpuFile, err = os.Create(f.CPUProfile)
@@ -252,9 +260,7 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 	}
 	if host != nil {
 		hsum := host.Summary()
-		if info.Host == nil {
-			info.Host = hsum
-		}
+		info.Host = hsum
 		if err := writeHostSummary(w, hsum, f.HostPerf, f.HostPerfOut); err != nil {
 			return err
 		}

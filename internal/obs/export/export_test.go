@@ -240,6 +240,25 @@ func TestStartProfilesWritesArtifacts(t *testing.T) {
 // TestRegisterOnSeparateFlagSets pins that two commands can each register
 // the full flag surface (including the hostperf flags shared by name with
 // HostFlags) on their own FlagSet without a duplicate-definition panic.
+func TestStartProfilesRejectsNegativeFlags(t *testing.T) {
+	for flag, f := range map[string]Flags{
+		"-sample-us":  {SampleUS: -1},
+		"-attrib-top": {AttribTop: -4},
+	} {
+		if _, err := f.StartProfiles(); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s: err = %v, want an error naming the flag", flag, err)
+		}
+	}
+	// Zero keeps its default meaning.
+	stop, err := (&Flags{}).StartProfiles()
+	if err != nil {
+		t.Fatalf("zero flags rejected: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRegisterOnSeparateFlagSets(t *testing.T) {
 	var a, b Flags
 	fsA := flag.NewFlagSet("a", flag.ContinueOnError)

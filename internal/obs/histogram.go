@@ -27,9 +27,6 @@ type Histogram struct {
 	max     sim.Time
 }
 
-// Name reports the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
-
 // bucketOf maps a non-negative value to its bucket index.
 func bucketOf(v sim.Time) int {
 	if v <= 0 {
@@ -62,25 +59,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Sum reports the exact sum of observed values.
-func (h *Histogram) Sum() sim.Time {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile returns the q-quantile as a conservative bucket upper bound,
-// clamped to the exact observed [min, max]. Every input yields a defined
-// value: an empty histogram returns zero for any q; q <= 0 returns the
-// observed minimum, q > 1 the observed maximum; and a single-sample
-// histogram collapses every quantile to that sample (the [min, max] clamp
-// leaves the bucket bound nowhere else to go).
-func (h *Histogram) Quantile(q float64) sim.Time {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
 }
 
 func (h *Histogram) quantileLocked(q float64) sim.Time {

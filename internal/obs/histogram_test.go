@@ -159,3 +159,22 @@ func TestHistogramQuantileOutOfRangeClamps(t *testing.T) {
 		t.Fatalf("empty out-of-range quantiles nonzero: %v %v", e.Quantile(-1), e.Quantile(2))
 	}
 }
+
+// Sum reports the exact sum of observed values.
+func (h *Histogram) Sum() sim.Time {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}
+
+// Quantile returns the q-quantile as a conservative bucket upper bound,
+// clamped to the exact observed [min, max]. Every input yields a defined
+// value: an empty histogram returns zero for any q; q <= 0 returns the
+// observed minimum, q > 1 the observed maximum; and a single-sample
+// histogram collapses every quantile to that sample (the [min, max] clamp
+// leaves the bucket bound nowhere else to go).
+func (h *Histogram) Quantile(q float64) sim.Time {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}

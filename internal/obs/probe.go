@@ -14,11 +14,9 @@ import (
 const (
 	LayerFS           = "fs"
 	LayerUFS          = "ufs"
-	LayerFTL          = "ftl"
 	LayerSSD          = "ssd"
 	LayerInterconnect = "interconnect"
 	LayerNVM          = "nvm"
-	LayerDOoC         = "dooc"
 )
 
 // Probe is the hook instrumented code calls. Implementations must tolerate

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"oocnvm/internal/sim"
 )
 
 // Counter is a named monotonic (or at least additive) int64. Safe for
@@ -19,9 +17,6 @@ type Counter struct {
 	name string
 	v    atomic.Int64
 }
-
-// Name reports the counter's registry name.
-func (c *Counter) Name() string { return c.name }
 
 // Add accumulates delta.
 func (c *Counter) Add(delta int64) { c.v.Add(delta) }
@@ -42,9 +37,6 @@ type Gauge struct {
 	name string
 	bits atomic.Uint64
 }
-
-// Name reports the gauge's registry name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set records the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
@@ -105,9 +97,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	return h
 }
-
-// Observe records v into the named histogram.
-func (r *Registry) Observe(name string, v sim.Time) { r.Histogram(name).Observe(v) }
 
 // Absorb adds every metric of other into r: counter values add, gauges
 // overwrite (other wins), histogram populations merge. Used to fold a

@@ -35,8 +35,8 @@ func TestSnapshotSortedAndDeterministic(t *testing.T) {
 		r.Counter("z.ops").Add(9)
 		r.Counter("a.ops").Add(1)
 		r.Gauge("m.bw").Set(3.25)
-		r.Observe("k.lat", 5*sim.Microsecond)
-		r.Observe("b.lat", 2*sim.Microsecond)
+		r.Histogram("k.lat").Observe(5 * sim.Microsecond)
+		r.Histogram("b.lat").Observe(2 * sim.Microsecond)
 		return r
 	}
 	s := mk().Snapshot()
@@ -70,7 +70,7 @@ func TestWriteCSV(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("n.reads").Add(7)
 	r.Gauge("n.bw").Set(2.5)
-	r.Observe("n.lat", 3*sim.Microsecond)
+	r.Histogram("n.lat").Observe(3 * sim.Microsecond)
 	var b bytes.Buffer
 	if err := r.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestFormatStageTable(t *testing.T) {
 	if got := FormatStageTable(r.Snapshot()); got != "" {
 		t.Fatalf("empty registry table = %q", got)
 	}
-	r.Observe("ssd.request.latency", 8*sim.Microsecond)
+	r.Histogram("ssd.request.latency").Observe(8 * sim.Microsecond)
 	out := FormatStageTable(r.Snapshot())
 	if !strings.Contains(out, "ssd.request.latency") || !strings.Contains(out, "p95") {
 		t.Fatalf("table missing fields:\n%s", out)

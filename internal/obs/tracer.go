@@ -42,13 +42,6 @@ type Tracer struct {
 // NewTracer returns a tracer bounded at DefaultTraceLimit events.
 func NewTracer() *Tracer { return &Tracer{limit: DefaultTraceLimit} }
 
-// SetLimit rebounds the event cap. Zero or negative means unlimited.
-func (t *Tracer) SetLimit(n int) {
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
-}
-
 // Span records one interval. Spans with end < start are clamped to zero
 // duration at start.
 func (t *Tracer) Span(layer, track, name string, start, end sim.Time, attrs ...Attr) {
@@ -77,16 +70,6 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Reset drops every recorded span and clears the overflow counter while
-// keeping the backing array, so a tracer reused across runs records into
-// recycled storage instead of re-growing a fresh span list.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.dropped = 0
-	t.mu.Unlock()
 }
 
 // SpanRecord is one recorded span, as returned by Spans.

@@ -171,19 +171,26 @@ func TestEmptyTracerExportsValidJSON(t *testing.T) {
 	}
 }
 
-// TestTracerSpanSteadyStateAllocs pins span recording into a reset tracer at
-// zero allocations: Reset keeps the backing array, so a tracer reused across
-// runs records into recycled storage. (Attrs are left off; a caller's
-// variadic attribute slice is the caller's allocation.)
+// TestTracerSpanSteadyStateAllocs pins span recording at zero allocations
+// once the span list has grown: each pass truncates the list but keeps its
+// backing array. (Attrs are left off; a caller's variadic attribute slice is
+// the caller's allocation.)
 func TestTracerSpanSteadyStateAllocs(t *testing.T) {
 	tr := NewTracer()
 	allocs := testing.AllocsPerRun(100, func() {
-		tr.Reset()
+		tr.spans, tr.dropped = tr.spans[:0], 0
 		for i := sim.Time(0); i < 256; i++ {
 			tr.Span(LayerNVM, "ch00/die00", "sense", i, i+1)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Span after Reset allocates %v objects per 256 spans, want 0", allocs)
+		t.Errorf("Span into a warm tracer allocates %v objects per 256 spans, want 0", allocs)
 	}
+}
+
+// SetLimit rebounds the event cap. Zero or negative means unlimited.
+func (t *Tracer) SetLimit(n int) {
+	t.mu.Lock()
+	t.limit = n
+	t.mu.Unlock()
 }

@@ -25,9 +25,6 @@ func NewPeriodic(interval Time, fn func(Time)) *Periodic {
 	return &Periodic{interval: interval, next: interval, fn: fn}
 }
 
-// Interval reports the current firing interval.
-func (p *Periodic) Interval() Time { return p.interval }
-
 // Last reports the most recently fired boundary (zero before the first).
 func (p *Periodic) Last() Time { return p.last }
 

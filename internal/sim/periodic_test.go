@@ -48,8 +48,8 @@ func TestPeriodicSetIntervalNeverRefiresOldBoundaries(t *testing.T) {
 func TestPeriodicClampsInterval(t *testing.T) {
 	n := 0
 	p := NewPeriodic(0, func(Time) { n++ })
-	if p.Interval() != 1 {
-		t.Fatalf("interval = %v, want clamp to 1", p.Interval())
+	if p.interval != 1 {
+		t.Fatalf("interval = %v, want clamp to 1", p.interval)
 	}
 	p.Advance(3)
 	if n != 3 {

@@ -53,9 +53,3 @@ func (r *RNG) Bool(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Fork derives an independent generator from the current stream, for handing
-// separate random streams to subcomponents without coupling their draws.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}

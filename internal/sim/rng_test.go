@@ -110,17 +110,6 @@ func TestRNGBoolProbability(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(21)
-	child := parent.Fork()
-	// The fork must not replay the parent's stream.
-	a := parent.Uint64()
-	b := child.Uint64()
-	if a == b {
-		t.Fatal("fork replays the parent stream")
-	}
-}
-
 // Property: Int63n stays in range for arbitrary positive bounds.
 func TestRNGInt63nRangeProperty(t *testing.T) {
 	r := NewRNG(99)
@@ -173,22 +162,6 @@ func TestRNGStreamIndependenceAcrossSeeds(t *testing.T) {
 		}
 		if hits > 0 {
 			t.Fatalf("seed %d and %d share %d values in a %d-draw window", seed, seed+1, hits, window)
-		}
-	}
-}
-
-// A fork must diverge from the parent's continued stream, not race ahead of
-// it: no overlap between the two streams' next draws.
-func TestRNGForkStreamDisjointFromParent(t *testing.T) {
-	parent := NewRNG(77)
-	child := parent.Fork()
-	seen := make(map[uint64]bool)
-	for i := 0; i < 256; i++ {
-		seen[parent.Uint64()] = true
-	}
-	for i := 0; i < 256; i++ {
-		if seen[child.Uint64()] {
-			t.Fatalf("forked stream replays a parent draw at offset %d", i)
 		}
 	}
 }

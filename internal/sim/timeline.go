@@ -26,9 +26,6 @@ func (tl *Timeline) FreeAt() Time { return tl.free }
 // Busy reports the accumulated occupied time.
 func (tl *Timeline) Busy() Time { return tl.busy }
 
-// Reset returns the timeline to its initial idle state.
-func (tl *Timeline) Reset() { *tl = Timeline{} }
-
 // Utilization returns busy time as a fraction of the given span, clamped to
 // [0, 1]. A zero span yields zero.
 func (tl *Timeline) Utilization(span Time) float64 {

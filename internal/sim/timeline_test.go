@@ -46,15 +46,6 @@ func TestTimelineUtilizationClamps(t *testing.T) {
 	}
 }
 
-func TestTimelineReset(t *testing.T) {
-	var tl Timeline
-	tl.Acquire(0, 10)
-	tl.Reset()
-	if tl.Busy() != 0 || tl.FreeAt() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 // Property: acquisitions never overlap and starts never precede requests.
 func TestTimelineNoOverlapProperty(t *testing.T) {
 	f := func(reqs []uint16) bool {

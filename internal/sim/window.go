@@ -3,8 +3,8 @@ package sim
 // Window models the host's bounded set of in-flight operations. Two limits
 // apply simultaneously:
 //
-//   - Depth, the queue-entry limit (NCQ slots, driver tags); and
-//   - MaxBytes, the in-flight byte limit — for a synchronous POSIX reader
+//   - depth, the queue-entry limit (NCQ slots, driver tags); and
+//   - maxBytes, the in-flight byte limit — for a synchronous POSIX reader
 //     this is the kernel's readahead window, the knob the paper's "ext4-L"
 //     configuration turns up.
 //
@@ -41,13 +41,6 @@ func NewWindow(depth int, maxBytes int64) *Window {
 // Depth reports the configured queue depth.
 func (w *Window) Depth() int { return w.depth }
 
-// MaxBytes reports the configured in-flight byte limit (0 = unlimited).
-func (w *Window) MaxBytes() int64 { return w.maxBytes }
-
-// InFlight reports how many admitted operations have not yet been retired.
-// (Operations are retired lazily, as Admit waits for room.)
-func (w *Window) InFlight() int { return len(w.heap) }
-
 // InFlightAt reports how many tracked operations are still executing at
 // instant t — admitted with a completion time strictly after t. Because
 // retirement is lazy, the heap can hold operations that finished before t;
@@ -67,7 +60,7 @@ func (w *Window) InFlightAt(t Time) int {
 
 // Admit returns the earliest time an operation of `size` bytes arriving at
 // 'at' may issue. Call Complete exactly once per Admit. An operation larger
-// than MaxBytes issues alone (when the window is otherwise empty).
+// than maxBytes issues alone (when the window is otherwise empty).
 func (w *Window) Admit(at Time, size int64) Time {
 	t := at
 	for len(w.heap) > 0 &&
@@ -97,9 +90,6 @@ func (w *Window) Drain() Time {
 	w.bytes = 0
 	return last
 }
-
-// Reset empties the window without reporting a drain time.
-func (w *Window) Reset() { w.heap = w.heap[:0]; w.bytes = 0 }
 
 type inflightOp struct {
 	end  Time

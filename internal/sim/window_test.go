@@ -68,7 +68,7 @@ func TestWindowDrain(t *testing.T) {
 	if got := w.Drain(); got != 40 {
 		t.Fatalf("Drain = %v, want 40 (latest completion)", got)
 	}
-	if w.InFlight() != 0 {
+	if len(w.heap) != 0 {
 		t.Fatal("window not empty after drain")
 	}
 }
@@ -82,20 +82,6 @@ func TestWindowDegenerateDepth(t *testing.T) {
 	if w.Depth() != 1 {
 		t.Fatalf("negative depth must normalize to 1, got %d", w.Depth())
 	}
-}
-
-func TestWindowReset(t *testing.T) {
-	w := NewWindow(2, 100)
-	w.Admit(0, 50)
-	w.Complete(10, 50)
-	w.Reset()
-	if w.InFlight() != 0 {
-		t.Fatal("Reset left in-flight ops")
-	}
-	if got := w.Admit(0, 100); got != 0 {
-		t.Fatalf("admit after reset = %v, want 0", got)
-	}
-	w.Complete(1, 100)
 }
 
 // Property: with depth d and ops completing in submission order, the i-th op
@@ -212,7 +198,7 @@ func TestWindowSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Admit/Complete at depth %d allocates %v objects per op, want 0", depth, allocs)
 	}
-	if got := w.InFlight(); got != depth {
+	if got := len(w.heap); got != depth {
 		t.Errorf("in flight %d, want the full depth %d", got, depth)
 	}
 }

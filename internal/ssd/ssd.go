@@ -282,9 +282,6 @@ type Config struct {
 	// means unlimited (bounded by QueueDepth only); New rejects a negative
 	// window.
 	WindowBytes int64
-	// HostOverhead is the host CPU cost of issuing one block request
-	// (syscall, block-layer, driver).
-	HostOverhead sim.Time
 	// CacheMode enables the dies' dual-register cache operation.
 	CacheMode bool
 	Seed      uint64
@@ -311,26 +308,26 @@ type Config struct {
 // evaluation.
 const DefaultQueueDepth = 32
 
-// DefaultHostOverhead is the per-request host software cost.
-const DefaultHostOverhead = 3 * sim.Microsecond
+// hostOverhead is the host CPU cost of issuing one block request
+// (syscall, block layer, driver).
+const hostOverhead = 3 * sim.Microsecond
 
 // SSD is a drivable solid-state drive model.
 type SSD struct {
 	Dev   *nvm.Device
 	trans Translator
 
-	win          *sim.Window
-	hostOverhead sim.Time
-	clock        sim.Time
-	dataBytes    int64
-	opsCount     int64
-	capacity     int64
-	probe        obs.Probe
-	sampler      *timeseries.Sampler
-	faults       *fault.Injector
-	att          *attrib.Recorder
-	mountRO      error
-	err          error
+	win       *sim.Window
+	clock     sim.Time
+	dataBytes int64
+	opsCount  int64
+	capacity  int64
+	probe     obs.Probe
+	sampler   *timeseries.Sampler
+	faults    *fault.Injector
+	att       *attrib.Recorder
+	mountRO   error
+	err       error
 
 	// opPool is this drive's page-op free list; pooled is the translator's
 	// release hook when it borrows from the pool (nil for translators that
@@ -381,9 +378,6 @@ func New(cfg Config) (*SSD, error) {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.HostOverhead == 0 {
-		cfg.HostOverhead = DefaultHostOverhead
-	}
 	dev, err := nvm.NewDevice(cfg.Geometry, cfg.Cell, cfg.Bus, cfg.Link, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -392,13 +386,12 @@ func New(cfg Config) (*SSD, error) {
 		dev.EnableCacheMode()
 	}
 	s := &SSD{
-		Dev:          dev,
-		trans:        cfg.Translator,
-		win:          sim.NewWindow(cfg.QueueDepth, cfg.WindowBytes),
-		hostOverhead: cfg.HostOverhead,
-		capacity:     cfg.Translator.CapacityBytes(),
-		probe:        obs.Nop{},
-		opPool:       new(pool.Buffers[nvm.PageOp]),
+		Dev:      dev,
+		trans:    cfg.Translator,
+		win:      sim.NewWindow(cfg.QueueDepth, cfg.WindowBytes),
+		capacity: cfg.Translator.CapacityBytes(),
+		probe:    obs.Nop{},
+		opPool:   new(pool.Buffers[nvm.PageOp]),
 	}
 	if op, ok := cfg.Translator.(OpPooler); ok {
 		op.SetOpPool(s.opPool)
@@ -616,7 +609,7 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 	if op.Sync {
 		s.clock = end
 	} else {
-		s.clock = issue + s.hostOverhead
+		s.clock = issue + hostOverhead
 	}
 	if !op.Meta && !s.faults.Crashed() {
 		s.dataBytes += op.Size

@@ -56,9 +56,6 @@ func TestDefaultsApplied(t *testing.T) {
 	if s.win.Depth() != DefaultQueueDepth {
 		t.Fatalf("queue depth = %d, want default %d", s.win.Depth(), DefaultQueueDepth)
 	}
-	if s.hostOverhead != DefaultHostOverhead {
-		t.Fatal("host overhead default not applied")
-	}
 }
 
 func TestReplayAccountsDataBytes(t *testing.T) {

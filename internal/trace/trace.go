@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Kind distinguishes reads from writes.
@@ -57,28 +56,6 @@ type BlockOp struct {
 	Meta   bool  `json:"meta,omitempty"` // metadata/journal, not application data
 }
 
-// DataBytes sums the application-data payload of a block trace (metadata and
-// journal traffic excluded); application-level bandwidth is DataBytes over
-// elapsed time.
-func DataBytes(ops []BlockOp) int64 {
-	var n int64
-	for _, op := range ops {
-		if !op.Meta {
-			n += op.Size
-		}
-	}
-	return n
-}
-
-// TotalBytes sums all bytes in a block trace.
-func TotalBytes(ops []BlockOp) int64 {
-	var n int64
-	for _, op := range ops {
-		n += op.Size
-	}
-	return n
-}
-
 // Stats summarizes a block trace's request population.
 type Stats struct {
 	Ops           int
@@ -115,36 +92,6 @@ func Characterize(ops []BlockOp) Stats {
 		s.SequentialPct = float64(seq) / float64(len(ops))
 	}
 	return s
-}
-
-// SizeHistogram buckets request sizes by power of two and returns sorted
-// (sizeUpperBound, count) pairs, for trace inspection tools.
-func SizeHistogram(ops []BlockOp) []struct {
-	UpTo  int64
-	Count int
-} {
-	buckets := make(map[int64]int)
-	for _, op := range ops {
-		b := int64(1)
-		for b < op.Size {
-			b <<= 1
-		}
-		buckets[b]++
-	}
-	keys := make([]int64, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]struct {
-		UpTo  int64
-		Count int
-	}, len(keys))
-	for i, k := range keys {
-		out[i].UpTo = k
-		out[i].Count = buckets[k]
-	}
-	return out
 }
 
 // --- binary codec -----------------------------------------------------------

@@ -21,11 +21,12 @@ func TestDataVsTotalBytes(t *testing.T) {
 		{Kind: Read, Size: 50, Meta: true},
 		{Kind: Write, Size: 25},
 	}
-	if DataBytes(ops) != 125 {
-		t.Fatalf("DataBytes = %d, want 125", DataBytes(ops))
+	st := Characterize(ops)
+	if st.DataBytes != 125 {
+		t.Fatalf("DataBytes = %d, want 125", st.DataBytes)
 	}
-	if TotalBytes(ops) != 175 {
-		t.Fatalf("TotalBytes = %d, want 175", TotalBytes(ops))
+	if st.Bytes != 175 {
+		t.Fatalf("Bytes = %d, want 175", st.Bytes)
 	}
 }
 
@@ -52,24 +53,6 @@ func TestCharacterizeEmpty(t *testing.T) {
 	st := Characterize(nil)
 	if st.Ops != 0 || st.MeanSize != 0 || st.SequentialPct != 0 {
 		t.Fatalf("empty trace stats: %+v", st)
-	}
-}
-
-func TestSizeHistogram(t *testing.T) {
-	ops := []BlockOp{{Size: 1}, {Size: 1024}, {Size: 1025}, {Size: 2048}}
-	h := SizeHistogram(ops)
-	got := map[int64]int{}
-	for _, b := range h {
-		got[b.UpTo] = b.Count
-	}
-	if got[1] != 1 || got[1024] != 1 || got[2048] != 2 {
-		t.Fatalf("histogram %v", got)
-	}
-	// Buckets must be sorted.
-	for i := 1; i < len(h); i++ {
-		if h[i].UpTo <= h[i-1].UpTo {
-			t.Fatal("histogram not sorted")
-		}
 	}
 }
 

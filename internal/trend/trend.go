@@ -124,15 +124,10 @@ func FitCategory(points []Point, c Category) (Fit, error) {
 	}, nil
 }
 
-// At evaluates the model at a year.
-func (f Fit) At(year float64) float64 {
-	return f.GBpsAtYear0 * math.Exp2((year-f.Year0)/f.DoublingYrs)
-}
-
 // Crossover returns the year two growth models intersect, or an error when
 // they diverge.
 func Crossover(a, b Fit) (float64, error) {
-	// Solve a.At(y) == b.At(y) in log2 space.
+	// Solve a(y) == b(y) for the two exponential models in log2 space.
 	sa := 1 / a.DoublingYrs
 	sb := 1 / b.DoublingYrs
 	if sa == sb {

@@ -1,6 +1,7 @@
 package trend
 
 import (
+	"math"
 	"testing"
 )
 
@@ -116,4 +117,9 @@ func TestCategoryString(t *testing.T) {
 	if InfiniBand.String() != "InfiniBand" || Category(99).String() != "Category(99)" {
 		t.Fatal("category names wrong")
 	}
+}
+
+// At evaluates the model at a year.
+func (f Fit) At(year float64) float64 {
+	return f.GBpsAtYear0 * math.Exp2((year-f.Year0)/f.DoublingYrs)
 }

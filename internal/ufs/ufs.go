@@ -13,7 +13,6 @@ package ufs
 
 import (
 	"fmt"
-	"sort"
 
 	"oocnvm/internal/obs"
 	"oocnvm/internal/sim"
@@ -110,16 +109,6 @@ func (u *UFS) Lookup(name string) (Extent, bool) {
 		return Extent{}, false
 	}
 	return *e, true
-}
-
-// Extents lists all allocations ordered by offset.
-func (u *UFS) Extents() []Extent {
-	out := make([]Extent, 0, len(u.extents))
-	for _, e := range u.extents {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Offset < out[j].Offset })
-	return out
 }
 
 // Seal marks an extent immutable (the DOoC "large disk-located arrays are

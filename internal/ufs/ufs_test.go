@@ -77,15 +77,16 @@ func TestLookupAndExtents(t *testing.T) {
 	u := newUFS(t)
 	u.Alloc("x", 100)
 	u.Alloc("y", 100)
-	if _, ok := u.Lookup("x"); !ok {
-		t.Fatal("lookup failed")
+	x, okx := u.Lookup("x")
+	y, oky := u.Lookup("y")
+	if !okx || !oky || x.Name != "x" || y.Name != "y" {
+		t.Fatalf("lookup failed: %v %v", x, y)
+	}
+	if x.Offset+x.Size > y.Offset {
+		t.Fatalf("extents overlap: %v %v", x, y)
 	}
 	if _, ok := u.Lookup("z"); ok {
 		t.Fatal("phantom extent")
-	}
-	ex := u.Extents()
-	if len(ex) != 2 || ex[0].Name != "x" || ex[1].Name != "y" {
-		t.Fatalf("extents = %v", ex)
 	}
 }
 
