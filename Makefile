@@ -22,7 +22,8 @@ fmt:
 
 # Short bounded fuzz pass over the FTL mapping, ECC classification,
 # workload-codec, binary and JSON trace readers, checkpoint torn-write and power-cut
-# crash-recovery harnesses; FUZZTIME=1m make fuzz for a longer soak.
+# crash-recovery harnesses, and worn drives running out of free superblocks;
+# FUZZTIME=1m make fuzz for a longer soak.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFTLMapping -fuzztime=$(FUZZTIME) ./internal/ftl
 	$(GO) test -run=^$$ -fuzz=FuzzReadClassify -fuzztime=$(FUZZTIME) ./internal/fault
@@ -33,6 +34,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePosixJSON -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzCkptTornWrite -fuzztime=$(FUZZTIME) ./internal/ckpt
 	$(GO) test -run=^$$ -fuzz=FuzzCrashRecovery -fuzztime=$(FUZZTIME) ./internal/check
+	$(GO) test -run=^$$ -fuzz=FuzzWornWriteGC -fuzztime=$(FUZZTIME) ./internal/experiment
 
 # One pass over every figure/table benchmark, printed. -benchtime=1x because
 # each whole-figure benchmark already runs the full evaluation matrix once.

@@ -692,11 +692,13 @@ func BenchmarkAblationCacheMode(b *testing.B) {
 			Geometry: geo, Cell: cp, Bus: nvm.FutureDDR(),
 			Link:       interconnect.Infinite{},
 			Translator: ssd.NewDirect(geo, cp),
-			CacheMode:  cache,
 			Seed:       1,
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+		if cache {
+			drive.Dev.EnableCacheMode()
 		}
 		for off := int64(0); off < 64<<20; off += 8 << 20 {
 			drive.Submit(traceRead(off, 8<<20))

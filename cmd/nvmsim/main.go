@@ -10,12 +10,12 @@ import (
 	"io"
 	"os"
 
+	"oocnvm/internal/experiment"
 	"oocnvm/internal/interconnect"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs/export"
 	"oocnvm/internal/obs/report"
 	"oocnvm/internal/sim"
-	"oocnvm/internal/ssd"
 	"oocnvm/internal/trace"
 )
 
@@ -105,22 +105,17 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 	samp := exp.Sampler()
 	rec := exp.Recorder(col)
 	host := exp.Host()
-	sc := ssd.Config{
-		Geometry:    geo,
-		Cell:        cp,
-		Bus:         bus,
-		Link:        interconnect.NewPCIeLine(pcie),
-		Translator:  ssd.NewDirect(geo, cp),
-		QueueDepth:  qd,
-		WindowBytes: windowKiB << 10,
-		Seed:        seed,
-		Sampler:     samp,
-		Attrib:      rec,
-	}
-	if col != nil {
-		sc.Probe = col
-	}
-	drive, err := ssd.New(sc)
+	// The hardware is an ad-hoc UFS row: the Direct translator behind the
+	// chosen bus and PCIe attachment, with no file system in front.
+	hw := experiment.Config{Name: fmt.Sprintf("%s, %s", bus.Name, pcie), Kind: experiment.FSUFS, PCIe: pcie, Bus: bus}
+	drive, err := experiment.Assemble(hw, cell, experiment.Options{
+		Geometry:   geo,
+		QueueDepth: qd,
+		Seed:       seed,
+		Obs:        col,
+		Sampler:    samp,
+		Attrib:     rec,
+	}, windowKiB<<10)
 	if err != nil {
 		return err
 	}
@@ -139,12 +134,10 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 		}
 	}
 	endReplay := host.Phase("replay")
-	res := drive.Replay(ops)
+	res, err := drive.Replay(ops)
 	endReplay()
-	// nvmsim injects no faults, so any error (a request crossing the end of
-	// the device) means the bandwidth is not the workload's: fail the run.
-	if err := drive.Err(); err != nil {
-		return fmt.Errorf("%s, %s, %s: %w", cell, bus.Name, pcie, err)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "device: %s, %s, %s, %d ch x %d pkg x %d dies, %d planes/die\n",
@@ -162,9 +155,6 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 	fmt.Fprintf(out, "parallelism: PAL1 %.1f%%  PAL2 %.1f%%  PAL3 %.1f%%  PAL4 %.1f%%\n",
 		100*fr[0], 100*fr[1], 100*fr[2], 100*fr[3])
 
-	if col != nil {
-		col.Reg.Absorb(drive.Dev.Registry())
-	}
 	if exp.Enabled() || host != nil {
 		info := report.RunInfo{
 			Title: fmt.Sprintf("nvmsim %s %s %s", cell, pattern, kind),

@@ -73,7 +73,6 @@ func main() {
 	opt.RetentionDays = *retDays
 	opt.PrecyclePE = *precycle
 	opt.DurableCheckpointPages = *durCkpt
-	opt.NetProfile = netProf
 	opt.Obs = exp.Collector()
 	samp := exp.Sampler()
 	rec := exp.Recorder(opt.Obs)
@@ -86,7 +85,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if err := run(opt, *fig, *table, *summary, *topology, *distrib, *energy, *cacheF, *chart, samp, os.Stdout); err != nil {
+	if err := run(opt, *fig, *table, *summary, *topology, *distrib, *energy, *cacheF, *chart, netProf, samp, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "oocbench:", err)
 		os.Exit(1)
 	}
@@ -137,17 +136,21 @@ func main() {
 	}
 }
 
-func run(opt experiment.Options, fig, table string, summary, topology, distrib, energyFlag, cacheFlag, chart bool, samp *timeseries.Sampler, out io.Writer) error {
+func run(opt experiment.Options, fig, table string, summary, topology, distrib, energyFlag, cacheFlag, chart bool, netProfile string, samp *timeseries.Sampler, out io.Writer) error {
 	for _, f := range []struct {
-		name string
-		v    float64
+		name  string
+		v     float64
+		aging bool // meaningful only under a profile that injects faults
 	}{
-		{"-retention-days", opt.RetentionDays},
-		{"-precycle", float64(opt.PrecyclePE)},
-		{"-durable-ckpt", float64(opt.DurableCheckpointPages)},
+		{"-retention-days", opt.RetentionDays, true},
+		{"-precycle", float64(opt.PrecyclePE), true},
+		{"-durable-ckpt", float64(opt.DurableCheckpointPages), false},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must not be negative, got %v", f.name, f.v)
+		}
+		if f.aging && f.v > 0 && !opt.Fault.Enabled() {
+			return fmt.Errorf("%s %v needs a -fault-profile that injects faults", f.name, f.v)
 		}
 	}
 	cells := nvm.CellTypes
@@ -170,7 +173,7 @@ func run(opt experiment.Options, fig, table string, summary, topology, distrib, 
 		fmt.Fprint(out, s)
 		return nil
 	case topology:
-		return printTopology(opt, out)
+		return printTopology(opt, netProfile, out)
 	case distrib:
 		return printDistributed(out)
 	case energyFlag:
@@ -179,7 +182,10 @@ func run(opt experiment.Options, fig, table string, summary, topology, distrib, 
 		return printCacheStudy(opt, samp, out)
 	}
 
-	// Everything else needs the measurement matrix.
+	// Everything else needs the measurement matrix. Only Figures 7b and 8b,
+	// alone or in the full report, print what the media could have
+	// delivered; the other figures would replay every cell twice for it.
+	opt.MeasureRemaining = fig == "7b" || fig == "8b" || (fig == "" && !summary)
 	var configs []experiment.Config
 	switch fig {
 	case "7a", "7b":
@@ -344,7 +350,7 @@ func printCacheStudy(opt experiment.Options, samp *timeseries.Sampler, out io.Wr
 	return nil
 }
 
-func printTopology(opt experiment.Options, out io.Writer) error {
+func printTopology(opt experiment.Options, netProfile string, out io.Writer) error {
 	for _, t := range []cluster.Topology{cluster.Carver(), cluster.ComputeLocal()} {
 		fmt.Fprintf(out, "%s: %d CNs (%d cores), %d OoC CNs, %d IONs, %d SSDs, placement %s, network %s\n",
 			t.Name, t.ComputeNodes, t.ComputeNodes*t.CoresPerCN, t.OoCComputeNodes,
@@ -362,8 +368,8 @@ func printTopology(opt experiment.Options, out io.Writer) error {
 
 	// With -net-profile the same preload and a checkpoint drain are rerun
 	// across the degraded fabric, showing the retry/goodput cost.
-	if opt.NetProfile != "" && opt.NetProfile != "none" {
-		prof, err := netfault.ForName(opt.NetProfile)
+	if netProfile != "" && netProfile != "none" {
+		prof, err := netfault.ForName(netProfile)
 		if err != nil {
 			return err
 		}
@@ -375,14 +381,14 @@ func printTopology(opt experiment.Options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "degraded preload (%s): %v\n", opt.NetProfile, deg.Transfer)
+		fmt.Fprintf(out, "degraded preload (%s): %v\n", netProfile, deg.Transfer)
 		drain, err := cluster.DrainCheckpoint(cluster.ComputeLocal(), cluster.CheckpointPlan{
 			SnapshotBytes: opt.Workload.MatrixBytes,
 		}, dopt)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "degraded checkpoint drain (%s): %v\n", opt.NetProfile, drain.Transfer)
+		fmt.Fprintf(out, "degraded checkpoint drain (%s): %v\n", netProfile, drain.Transfer)
 	}
 	return nil
 }

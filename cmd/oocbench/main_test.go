@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oocnvm/internal/experiment"
+	"oocnvm/internal/fault"
 	"oocnvm/internal/ooc"
 )
 
@@ -31,7 +32,7 @@ func TestOocbenchStaticTables(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(testOptions(), tc.fig, tc.table, false, false, false, false, false, false, nil, &out); err != nil {
+			if err := run(testOptions(), tc.fig, tc.table, false, false, false, false, false, false, "", nil, &out); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			if !strings.Contains(out.String(), tc.want) {
@@ -43,7 +44,7 @@ func TestOocbenchStaticTables(t *testing.T) {
 
 func TestOocbenchTopology(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(testOptions(), "", "", false, true, false, false, false, false, nil, &out); err != nil {
+	if err := run(testOptions(), "", "", false, true, false, false, false, false, "", nil, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for _, want := range []string{"Carver", "Carver-CNL", "preload"} {
@@ -55,14 +56,14 @@ func TestOocbenchTopology(t *testing.T) {
 
 func TestOocbenchEnergyAndDistributed(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(testOptions(), "", "", false, false, true, false, false, false, nil, &out); err != nil {
+	if err := run(testOptions(), "", "", false, false, true, false, false, false, "", nil, &out); err != nil {
 		t.Fatalf("distributed: %v", err)
 	}
 	if !strings.Contains(out.String(), "cluster-scale OoC solve") {
 		t.Errorf("distributed output unexpected:\n%s", out.String())
 	}
 	out.Reset()
-	if err := run(testOptions(), "", "", false, false, false, true, false, false, nil, &out); err != nil {
+	if err := run(testOptions(), "", "", false, false, false, true, false, false, "", nil, &out); err != nil {
 		t.Fatalf("energy: %v", err)
 	}
 	if !strings.Contains(out.String(), "compute-local NVM") {
@@ -72,7 +73,7 @@ func TestOocbenchEnergyAndDistributed(t *testing.T) {
 
 func TestOocbenchCacheStudy(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(testOptions(), "", "", false, false, false, false, true, false, nil, &out); err != nil {
+	if err := run(testOptions(), "", "", false, false, false, false, true, false, "", nil, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(out.String(), "hit rate") {
@@ -85,7 +86,7 @@ func TestOocbenchFigure7a(t *testing.T) {
 		t.Skip("measurement matrix in -short mode")
 	}
 	var out bytes.Buffer
-	if err := run(testOptions(), "7a", "", false, false, false, false, false, false, nil, &out); err != nil {
+	if err := run(testOptions(), "7a", "", false, false, false, false, false, false, "", nil, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for _, want := range []string{"Figure 7a", "ION-GPFS", "CNL-UFS"} {
@@ -98,8 +99,7 @@ func TestOocbenchFigure7a(t *testing.T) {
 func TestOocbenchTopologyDegraded(t *testing.T) {
 	var out bytes.Buffer
 	opt := testOptions()
-	opt.NetProfile = "flaky"
-	if err := run(opt, "", "", false, true, false, false, false, false, nil, &out); err != nil {
+	if err := run(opt, "", "", false, true, false, false, false, false, "flaky", nil, &out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for _, want := range []string{"degraded preload (flaky)", "degraded checkpoint drain (flaky)", "retries"} {
@@ -109,7 +109,7 @@ func TestOocbenchTopologyDegraded(t *testing.T) {
 	}
 	// Same seed, same profile: the degraded lines must be reproducible.
 	var again bytes.Buffer
-	if err := run(opt, "", "", false, true, false, false, false, false, nil, &again); err != nil {
+	if err := run(opt, "", "", false, true, false, false, false, false, "flaky", nil, &again); err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
 	if out.String() != again.String() {
@@ -118,13 +118,19 @@ func TestOocbenchTopologyDegraded(t *testing.T) {
 }
 
 // TestOocbenchRejectsBadFlags pins that wear, age and durability flags that
-// would silently change the answer fail naming the flag.
+// would silently change the answer, or change nothing because no profile
+// injects faults, fail naming the flag.
 func TestOocbenchRejectsBadFlags(t *testing.T) {
+	worn, err := fault.ForName("worn")
+	if err != nil {
+		t.Fatal(err)
+	}
 	try := func(opt experiment.Options) error {
 		var out bytes.Buffer
-		return run(opt, "", "1", false, false, false, false, false, false, nil, &out)
+		return run(opt, "", "1", false, false, false, false, false, false, "", nil, &out)
 	}
 	good := testOptions()
+	good.Fault = worn
 	good.RetentionDays, good.PrecyclePE, good.DurableCheckpointPages = 30, 3000, 1024
 	if err := try(good); err != nil {
 		t.Fatalf("baseline flags rejected: %v", err)
@@ -137,6 +143,8 @@ func TestOocbenchRejectsBadFlags(t *testing.T) {
 		{"negative retention", func(o *experiment.Options) { o.RetentionDays = -30 }, "-retention-days"},
 		{"negative precycle", func(o *experiment.Options) { o.PrecyclePE = -3000 }, "-precycle"},
 		{"negative checkpoint interval", func(o *experiment.Options) { o.DurableCheckpointPages = -5 }, "-durable-ckpt"},
+		{"retention without faults", func(o *experiment.Options) { o.Fault, o.PrecyclePE = fault.Profile{}, 0 }, "-retention-days"},
+		{"precycle without faults", func(o *experiment.Options) { o.Fault, o.RetentionDays = fault.Profile{}, 0 }, "-precycle"},
 	} {
 		opt := good
 		tc.mutate(&opt)

@@ -13,7 +13,6 @@ import (
 	"oocnvm/internal/cluster"
 	"oocnvm/internal/experiment"
 	"oocnvm/internal/fault"
-	"oocnvm/internal/ftl"
 	"oocnvm/internal/netfault"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs/export"
@@ -70,17 +69,28 @@ func run(o options, w io.Writer) (retErr error) {
 	if o.file == "" {
 		return fmt.Errorf("-trace is required (capture one with tracegen)")
 	}
+	if o.faultProfile == "" {
+		o.faultProfile = "none"
+	}
+	prof, err := fault.ForName(o.faultProfile)
+	if err != nil {
+		return err
+	}
 	for _, f := range []struct {
-		name string
-		v    float64
+		name  string
+		v     float64
+		aging bool // meaningful only under a profile that injects faults
 	}{
-		{"-retention-days", o.retentionDays},
-		{"-precycle", float64(o.precycle)},
-		{"-spares", float64(o.spares)},
-		{"-durable-ckpt", float64(o.durableCkpt)},
+		{"-retention-days", o.retentionDays, true},
+		{"-precycle", float64(o.precycle), true},
+		{"-spares", float64(o.spares), true},
+		{"-durable-ckpt", float64(o.durableCkpt), false},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must not be negative, got %v", f.name, f.v)
+		}
+		if f.aging && f.v > 0 && !prof.Enabled() {
+			return fmt.Errorf("%s %v needs a -fault-profile that injects faults", f.name, f.v)
 		}
 	}
 	stopProf, err := o.exp.StartProfiles()
@@ -121,67 +131,30 @@ func run(o options, w io.Writer) (retErr error) {
 		return err
 	}
 
-	geo := nvm.PaperGeometry()
-	cp := nvm.Params(cell)
-	var translator ssd.Translator
-	if cfg.Kind == experiment.FSUFS {
-		translator = ssd.NewDirect(geo, cp)
-	} else {
-		var dc ftl.DurableConfig
-		if o.durableCkpt > 0 {
-			dc = ftl.DurableConfig{Enabled: true, CheckpointEveryPages: o.durableCkpt}
-		}
-		ft, err := ftl.New(geo, cp, ftl.Config{Durable: dc})
-		if err != nil {
-			return err
-		}
-		translator = ft
-	}
-
 	// Observability is collected only when an export was requested; the
 	// stack runs with free no-op probes otherwise.
 	col := o.exp.Collector()
 	samp := o.exp.Sampler()
 	rec := o.exp.Recorder(col)
 
-	link := cfg.BuildLink()
-	sc := ssd.Config{
-		Geometry:    geo,
-		Cell:        cp,
-		Bus:         cfg.Bus,
-		Link:        link,
-		Translator:  translator,
-		QueueDepth:  o.qd,
-		WindowBytes: o.windowKiB << 10,
-		CacheMode:   o.cache,
-		Seed:        o.seed,
-		Sampler:     samp,
-		Attrib:      rec,
-	}
-	if col != nil {
-		sc.Probe = col
-	}
-	if o.faultProfile == "" {
-		o.faultProfile = "none"
-	}
-	prof, err := fault.ForName(o.faultProfile)
+	prof.SpareBlocks = o.spares
+	drive, err := experiment.Assemble(cfg, cell, experiment.Options{
+		Geometry:               nvm.PaperGeometry(),
+		QueueDepth:             o.qd,
+		Seed:                   o.seed,
+		Obs:                    col,
+		Fault:                  prof,
+		RetentionDays:          o.retentionDays,
+		PrecyclePE:             o.precycle,
+		Sampler:                samp,
+		Attrib:                 rec,
+		DurableCheckpointPages: o.durableCkpt,
+	}, o.windowKiB<<10)
 	if err != nil {
 		return err
 	}
-	if prof.Enabled() || o.retentionDays > 0 || o.precycle > 0 {
-		fc := nvm.FaultConfig(geo, cp, prof, o.seed)
-		fc.RetentionDays = o.retentionDays
-		fc.PrecyclePE = o.precycle
-		fc.SpareBlocks = o.spares
-		inj, err := fault.New(fc)
-		if err != nil {
-			return err
-		}
-		sc.Fault = inj
-	}
-	drive, err := ssd.New(sc)
-	if err != nil {
-		return err
+	if o.cache {
+		drive.Dev.EnableCacheMode()
 	}
 
 	st := trace.Characterize(ops)
@@ -219,33 +192,33 @@ func run(o options, w io.Writer) (retErr error) {
 	endReplay := host.Phase("replay")
 	var res ssd.Result
 	if o.paqDepth > 1 {
-		res = ssd.NewPAQ(drive, o.paqDepth).Replay(ops)
+		q := ssd.NewPAQ(drive.SSD, o.paqDepth)
+		for _, op := range ops {
+			q.Submit(op)
+		}
+		q.Flush()
+		res, err = drive.Finish()
 	} else {
-		res = drive.Replay(ops)
+		res, err = drive.Replay(ops)
 	}
 	endReplay()
-	// A fault-free drive has no reason to reject an op, so its first error
-	// means the bandwidth is not the trace's: fail the run.
-	if err := drive.Err(); err != nil && sc.Fault == nil {
-		return fmt.Errorf("%s/%s: %w", cfg.Name, cell, err)
+	if err != nil {
+		return err
 	}
 	lat := drive.Dev.Latency()
 
 	fmt.Fprintf(w, "config: %s on %s (%s, %s)\n", cfg.Name, cell, cfg.PCIe, cfg.Bus.Name)
 	fmt.Fprint(w, res)
 	fmt.Fprintf(w, "latency: p50 %v  p95 %v  p99 %v  max %v\n", lat.P50, lat.P95, lat.P99, lat.Max)
-	if sc.Fault != nil {
+	if drive.Fault != nil {
 		fmt.Fprintf(w, "fault profile: %s (retention %.0f days, precycle %d PE)\n",
-			o.faultProfile, sc.Fault.Profile().RetentionDays, o.precycle)
+			o.faultProfile, drive.Fault.Profile().RetentionDays, o.precycle)
 		fmt.Fprint(w, res.Faults)
 		if err := drive.Err(); err != nil {
 			fmt.Fprintf(w, "first error: %v\n", err)
 		}
 	}
 
-	if col != nil {
-		col.Reg.Absorb(drive.Dev.Registry())
-	}
 	if o.exp.Enabled() || host != nil {
 		info := report.RunInfo{
 			Title: fmt.Sprintf("replay %s on %s/%s", o.file, cfg.Name, cell),
@@ -262,7 +235,7 @@ func run(o options, w io.Writer) (retErr error) {
 				{"net profile", o.netProfile},
 			},
 		}
-		if sc.Fault != nil {
+		if drive.Fault != nil {
 			info.FaultSummary = res.Faults.String()
 		}
 		if err := o.exp.Write(w, col, samp, rec, host, info); err != nil {

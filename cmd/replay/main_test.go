@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"oocnvm/internal/experiment"
+	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs/export"
+	"oocnvm/internal/ooc"
 	"oocnvm/internal/ssd"
 	"oocnvm/internal/trace"
 )
@@ -25,6 +28,12 @@ func writeTestTrace(t *testing.T) string {
 			ops = append(ops, trace.BlockOp{Kind: trace.Write, Offset: 1 << 30, Size: 16 << 10, Meta: true})
 		}
 	}
+	return writeTrace(t, ops)
+}
+
+// writeTrace writes ops as a binary block trace and returns its path.
+func writeTrace(t *testing.T, ops []trace.BlockOp) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.trace")
 	f, err := os.Create(path)
 	if err != nil {
@@ -39,7 +48,8 @@ func writeTestTrace(t *testing.T) string {
 
 // TestReplayFailsFaultFreeDriveErrors pins that a fault-free run whose drive
 // rejected an op fails instead of printing the bandwidth of the ops that ran,
-// and that a negative queue depth is refused rather than clamped.
+// that a faulted run reports the same error instead, and that a negative
+// queue depth is refused rather than clamped.
 func TestReplayFailsFaultFreeDriveErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "oob.json")
 	oob := `[{"kind":0,"offset":0,"size":1048576},{"kind":0,"offset":4611686018427387904,"size":1048576}]`
@@ -54,14 +64,102 @@ func TestReplayFailsFaultFreeDriveErrors(t *testing.T) {
 	if strings.Contains(out.String(), "bandwidth") {
 		t.Errorf("failed replay printed a bandwidth:\n%s", out.String())
 	}
+	// Under a fault profile the drive's errors are part of the answer: the
+	// run reports them beside the bandwidth instead of failing.
+	out.Reset()
+	if err := run(options{file: path, asJSON: true, cfgName: "CNL-UFS", cellName: "TLC", qd: 32, seed: 42, faultProfile: "worn"}, &out); err != nil {
+		t.Fatalf("faulted replay failed: %v", err)
+	}
+	if !strings.Contains(out.String(), "first error: "+ssd.ErrOutOfRange.Error()) {
+		t.Errorf("faulted replay does not report the out-of-range op:\n%s", out.String())
+	}
 	if err := run(options{file: writeTestTrace(t), cfgName: "CNL-EXT4", cellName: "TLC", qd: -2, seed: 42}, &out); err == nil {
 		t.Error("negative queue depth accepted")
 	}
 }
 
+// evalOptions is the evaluation at a 64 MiB matrix read in 8 MiB panels
+// over two applications: the scale of tracegen -matrix 64 -panel 8 -apps 2.
+func evalOptions() experiment.Options {
+	opt := experiment.DefaultOptions()
+	opt.Workload = ooc.Workload{MatrixBytes: 64 << 20, PanelBytes: 8 << 20, Applications: 2}
+	opt.MeasureRemaining = false
+	return opt
+}
+
+// TestReplayMatchesExperimentRun pins the one drive path: a row's block
+// trace, replayed through the CLI with the row's readahead as its window,
+// prints exactly the result experiment.Run reports for that row.
+func TestReplayMatchesExperimentRun(t *testing.T) {
+	opt := evalOptions()
+	for _, c := range []struct {
+		cfg  string
+		cell nvm.CellType
+	}{{"CNL-UFS", nvm.PCM}, {"CNL-EXT4", nvm.TLC}, {"ION-GPFS", nvm.SLC}} {
+		cfg, err := experiment.FindConfig(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, window, err := experiment.BlockTrace(cfg, c.cell, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := experiment.Run(cfg, c.cell, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(options{
+			file: writeTrace(t, ops), cfgName: c.cfg, cellName: c.cell.String(),
+			qd: opt.QueueDepth, windowKiB: window >> 10, seed: opt.Seed,
+		}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := m.Achieved.String(); !strings.Contains(out.String(), want) {
+			t.Errorf("%s/%s: replay printed\n%s\nwant the result block\n%s", c.cfg, c.cell, out.String(), want)
+		}
+	}
+}
+
+// TestReplayCacheModeAndPAQ drives -cachemode and -paq on the EXT4 trace
+// tracegen writes at evalOptions' scale: dual-register cache reads barely
+// help a bus-limited native drive, and reordering by die availability
+// lifts the FTL drive's small requests.
+func TestReplayCacheModeAndPAQ(t *testing.T) {
+	cfg, err := experiment.FindConfig("CNL-EXT4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, _, err := experiment.BlockTrace(cfg, nvm.SLC, evalOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeTrace(t, ops)
+	for _, tc := range []struct {
+		cfg, cell string
+		mutate    func(*options)
+		want      string
+	}{
+		{"CNL-NATIVE-16", "SLC", func(*options) {}, "12168.5 MB/s"},
+		{"CNL-NATIVE-16", "SLC", func(o *options) { o.cache = true }, "12169.9 MB/s"},
+		{"CNL-EXT4", "TLC", func(*options) {}, "2433.8 MB/s"},
+		{"CNL-EXT4", "TLC", func(o *options) { o.paqDepth = 16 }, "2636.5 MB/s"},
+	} {
+		o := options{file: path, cfgName: tc.cfg, cellName: tc.cell, qd: 32, seed: 42}
+		tc.mutate(&o)
+		var out bytes.Buffer
+		if err := run(o, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), " "+tc.want+"\n") {
+			t.Errorf("%s/%s cache %v paq %d: want bandwidth %s in\n%s", tc.cfg, tc.cell, o.cache, o.paqDepth, tc.want, out.String())
+		}
+	}
+}
+
 // TestReplayRejectsBadFlags pins that flag values which would silently
-// change the answer fail naming the flag, and that cell names match in any
-// case.
+// change the answer, or change nothing because no profile injects faults,
+// fail naming the flag, and that cell names match in any case.
 func TestReplayRejectsBadFlags(t *testing.T) {
 	good := options{
 		file: writeTestTrace(t), cfgName: "CNL-EXT4", cellName: "tlc", qd: 32, seed: 42,
@@ -83,6 +181,9 @@ func TestReplayRejectsBadFlags(t *testing.T) {
 		{"negative sample interval", func(o *options) { o.exp.SampleUS = -1 }, "-sample-us"},
 		{"negative exemplar count", func(o *options) { o.exp.AttribTop = -4 }, "-attrib-top"},
 		{"unknown cell", func(o *options) { o.cellName = "QLC" }, ""},
+		{"retention without faults", func(o *options) { o.faultProfile, o.precycle, o.spares = "none", 0, 0 }, "-retention-days"},
+		{"precycle without faults", func(o *options) { o.faultProfile, o.retentionDays, o.spares = "none", 0, 0 }, "-precycle"},
+		{"spares without faults", func(o *options) { o.faultProfile, o.retentionDays, o.precycle = "none", 0, 0 }, "-spares"},
 	} {
 		o := good
 		tc.mutate(&o)

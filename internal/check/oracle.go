@@ -28,8 +28,8 @@ const maxViolations = 64
 // Oracle is the shadow data-integrity oracle. It implements nvm.MappingTap
 // and maintains the reference logical-to-physical view: mapping (lpn→ppn),
 // the per-LBA host write version, and the expected content hash of every
-// live physical page. Attach it to a translator with nvm.InstrumentMapping
-// (the Checked wrapper does this for you).
+// live physical page. Attach it as a translator's mapping tap (the Checked
+// wrapper does this for you).
 type Oracle struct {
 	seed    uint64
 	mapping map[int64]int64  // lpn -> ppn currently holding its content

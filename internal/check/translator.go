@@ -33,7 +33,9 @@ type Checked struct {
 // fresh oracle seeded with seed.
 func Wrap(inner ssd.Translator, seed uint64) *Checked {
 	c := &Checked{inner: inner, o: NewOracle(seed)}
-	nvm.InstrumentMapping(inner, c.o)
+	if t, ok := inner.(interface{ SetMappingTap(nvm.MappingTap) }); ok {
+		t.SetMappingTap(c.o)
+	}
 	return c
 }
 
@@ -120,6 +122,16 @@ func (c *Checked) RetireBlock(ppn int64) nvm.Retirement {
 func (c *Checked) MediaTap() nvm.MediaTap {
 	if mt, ok := c.inner.(interface{ MediaTap() nvm.MediaTap }); ok {
 		return mt.MediaTap()
+	}
+	return nil
+}
+
+// Err forwards the inner translator's out-of-room error (the FTL's
+// ftl.ErrNoFreeSuperblock), so a checked drive degrades to read-only
+// exactly when an unchecked one does.
+func (c *Checked) Err() error {
+	if e, ok := c.inner.(interface{ Err() error }); ok {
+		return e.Err()
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"oocnvm/internal/experiment"
 	"oocnvm/internal/interconnect"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/sim"
@@ -67,17 +68,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	drive, err := ssd.New(ssd.Config{
-		Geometry:   cfg.Geometry,
-		Cell:       cell,
-		Bus:        cfg.Bus,
-		Link:       interconnect.NewPCIeLine(cfg.PCIe),
-		Translator: ssd.NewDirect(cfg.Geometry, cell),
-	})
+	hw := experiment.Config{Name: "node", Kind: experiment.FSUFS, PCIe: cfg.PCIe, Bus: cfg.Bus}
+	drive, err := experiment.Assemble(hw, cfg.Cell, experiment.Options{Geometry: cfg.Geometry}, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Node{cfg: cfg, cell: cell, fs: u, drive: drive}, nil
+	return &Node{cfg: cfg, cell: cell, fs: u, drive: drive.SSD}, nil
 }
 
 // Capacity reports the node's raw NVM capacity in bytes.

@@ -148,11 +148,25 @@ func TestRunRejectsNegativeOptions(t *testing.T) {
 		"RetentionDays":          func(o *Options) { o.RetentionDays = -30 },
 		"PrecyclePE":             func(o *Options) { o.PrecyclePE = -3000 },
 		"DurableCheckpointPages": func(o *Options) { o.DurableCheckpointPages = -5 },
+		"Fault.SpareBlocks":      func(o *Options) { o.Fault.SpareBlocks = -1 },
 	} {
 		opt := TestOptions()
 		mutate(&opt)
 		if _, err := Run(cfg, nvm.SLC, opt); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("negative %s: err = %v", name, err)
+		}
+	}
+	// Aging and a spare budget change nothing on a drive that injects no
+	// faults, so they are refused rather than silently ignored.
+	for name, mutate := range map[string]func(*Options){
+		"RetentionDays":     func(o *Options) { o.RetentionDays = 30 },
+		"PrecyclePE":        func(o *Options) { o.PrecyclePE = 3000 },
+		"Fault.SpareBlocks": func(o *Options) { o.Fault.SpareBlocks = 3 },
+	} {
+		opt := TestOptions()
+		mutate(&opt)
+		if _, err := Run(cfg, nvm.SLC, opt); err == nil || !strings.Contains(err.Error(), "Fault profile") {
+			t.Errorf("%s without faults: err = %v", name, err)
 		}
 	}
 }

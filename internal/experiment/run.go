@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"oocnvm/internal/fault"
-	"oocnvm/internal/ftl"
 	"oocnvm/internal/interconnect"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs"
@@ -38,6 +37,8 @@ type Options struct {
 	// keeps its meaning). The zero profile disables injection entirely.
 	Fault fault.Profile
 	// RetentionDays ages the cells beyond the profile's own retention term.
+	// Like PrecyclePE and Fault.SpareBlocks, it needs a Fault profile that
+	// injects faults.
 	RetentionDays float64
 	// PrecyclePE adds this many program/erase cycles of wear to every block
 	// before the run, on top of the profile's PrecycleFrac.
@@ -52,10 +53,6 @@ type Options struct {
 	// synthetic host path has no anatomy worth decomposing). Like Sampler
 	// it is single-clock state, so Matrix drops it.
 	Attrib *attrib.Recorder
-	// NetProfile names the netfault degradation profile the commands that
-	// model cluster-network staging (preload, checkpoint drain) apply to
-	// it; "" or "none" is the clean fabric.
-	NetProfile string
 	// DurableCheckpointPages, when > 0, enables the FTL's durable-metadata
 	// model (journal + checkpoints + OOB tags) with a mapping-table
 	// checkpoint every N host-written pages. Zero leaves the model off, so
@@ -126,9 +123,6 @@ func (m Measurement) RemainingMBps() float64 {
 
 // Run evaluates one configuration with one NVM type.
 func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
-	if err := opt.validate(); err != nil {
-		return Measurement{}, err
-	}
 	if opt.Host != nil {
 		defer opt.Host.Phase(fmt.Sprintf("cell %s/%s", cfg.Name, cell))()
 	}
@@ -136,13 +130,19 @@ func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	achieved, err := replay(cfg, cell, opt, blockOps, window, cfg.buildLink(), opt.Obs, true)
+	achieved, err := replay(cfg, cell, opt, blockOps, window, cfg.buildLink())
 	if err != nil {
 		return Measurement{}, err
 	}
 	m := Measurement{Config: cfg, Cell: cell, Achieved: achieved}
 	if opt.MeasureRemaining {
-		capable, err := replay(cfg, cell, opt, blockOps, window, interconnect.Infinite{}, nil, false)
+		// The media-capable remeasurement runs unobserved and fault-free, so
+		// its synthetic host path neither pollutes the metrics nor loses
+		// "bandwidth remaining" to injected errors.
+		bare := opt
+		bare.Obs, bare.Sampler, bare.Attrib = nil, nil, nil
+		bare.Fault, bare.RetentionDays, bare.PrecyclePE = fault.Profile{}, 0, 0
+		capable, err := replay(cfg, cell, bare, blockOps, window, interconnect.Infinite{})
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -152,8 +152,9 @@ func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
 }
 
 // validate rejects option values that would silently change the answer:
-// negative wear or age make the fault model fresher than a new drive, and a
-// negative checkpoint interval would run with durability off.
+// negative wear or age make the fault model fresher than a new drive, a
+// negative checkpoint interval would run with durability off, and aging or
+// a spare budget mean nothing to a profile that injects no faults.
 func (o *Options) validate() error {
 	switch {
 	case o.RetentionDays < 0:
@@ -162,6 +163,11 @@ func (o *Options) validate() error {
 		return fmt.Errorf("experiment: negative PrecyclePE %d", o.PrecyclePE)
 	case o.DurableCheckpointPages < 0:
 		return fmt.Errorf("experiment: negative DurableCheckpointPages %d", o.DurableCheckpointPages)
+	case o.Fault.SpareBlocks < 0:
+		return fmt.Errorf("experiment: negative Fault.SpareBlocks %d", o.Fault.SpareBlocks)
+	case !o.Fault.Enabled() && (o.RetentionDays > 0 || o.PrecyclePE > 0 || o.Fault.SpareBlocks > 0):
+		return fmt.Errorf("experiment: RetentionDays %v, PrecyclePE %d and Fault.SpareBlocks %d need a Fault profile that injects faults",
+			o.RetentionDays, o.PrecyclePE, o.Fault.SpareBlocks)
 	}
 	return nil
 }
@@ -197,73 +203,14 @@ func blockTrace(cfg Config, cell nvm.CellType, opt Options) ([]trace.BlockOp, in
 	return fsys.Transform(posix), fsys.ReadAhead(), nil
 }
 
-// replay drives the block trace through a freshly assembled SSD. When col is
-// non-nil it receives the run's spans, and the device's private metrics
-// registry is absorbed into it after the replay. Fault injection applies
-// only when withFaults is set (the achieved run), never to the
-// media-capable remeasurement.
-func replay(cfg Config, cell nvm.CellType, opt Options, ops []trace.BlockOp, window int64, link nvm.Link, col *obs.Collector, withFaults bool) (ssd.Result, error) {
-	cp := nvm.Params(cell)
-	var translator ssd.Translator
-	if cfg.Kind == FSUFS {
-		translator = ssd.NewDirect(opt.Geometry, cp)
-	} else {
-		var dc ftl.DurableConfig
-		if opt.DurableCheckpointPages > 0 {
-			dc = ftl.DurableConfig{Enabled: true, CheckpointEveryPages: opt.DurableCheckpointPages}
-		}
-		f, err := ftl.New(opt.Geometry, cp, ftl.Config{Durable: dc})
-		if err != nil {
-			return ssd.Result{}, err
-		}
-		if err := f.Preload(opt.Workload.MatrixBytes); err != nil {
-			return ssd.Result{}, fmt.Errorf("experiment: %s/%s: %w", cfg.Name, cell, err)
-		}
-		translator = f
-	}
-	sc := ssd.Config{
-		Geometry:    opt.Geometry,
-		Cell:        cp,
-		Bus:         cfg.Bus,
-		Link:        link,
-		Translator:  translator,
-		QueueDepth:  opt.QueueDepth,
-		WindowBytes: window,
-		Seed:        opt.Seed,
-	}
-	if col != nil {
-		sc.Probe = col
-	}
-	if withFaults && opt.Sampler != nil {
-		sc.Sampler = opt.Sampler
-	}
-	if withFaults && opt.Attrib != nil {
-		sc.Attrib = opt.Attrib
-	}
-	if withFaults && opt.Fault.Enabled() {
-		fc := nvm.FaultConfig(opt.Geometry, cp, opt.Fault, opt.Seed)
-		fc.RetentionDays = opt.RetentionDays
-		fc.PrecyclePE = opt.PrecyclePE
-		inj, err := fault.New(fc)
-		if err != nil {
-			return ssd.Result{}, err
-		}
-		sc.Fault = inj
-	}
-	drive, err := ssd.New(sc)
+// replay drives the block trace through a freshly assembled drive on the
+// given host link and closes it out.
+func replay(cfg Config, cell nvm.CellType, opt Options, ops []trace.BlockOp, window int64, link nvm.Link) (ssd.Result, error) {
+	d, err := assemble(cfg, cell, opt, window, link)
 	if err != nil {
 		return ssd.Result{}, err
 	}
-	res := drive.Replay(ops)
-	if col != nil {
-		col.Reg.Absorb(drive.Dev.Registry())
-	}
-	// A fault-free drive has no reason to reject an op, so its first error
-	// means the bandwidth above is not the trace's: fail the cell.
-	if err := drive.Err(); err != nil && sc.Fault == nil {
-		return ssd.Result{}, fmt.Errorf("experiment: %s/%s: %w", cfg.Name, cell, err)
-	}
-	return res, nil
+	return d.Replay(ops)
 }
 
 // Matrix evaluates every (configuration, cell) pair concurrently and returns

@@ -65,6 +65,10 @@ type Profile struct {
 	// what makes clean, corrected, retried and uncorrectable reads coexist
 	// in a single run instead of every page landing in one class.
 	BlockVar float64
+	// SpareBlocks is the grown-bad budget: each block retirement consumes
+	// one; at zero the device degrades to read-only. Zero selects a budget
+	// of 16.
+	SpareBlocks int64
 }
 
 // Enabled reports whether the profile can inject anything at all.

@@ -142,7 +142,7 @@ func TestInjectorRejectsNegativeAgingAndSpares(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"retention days": func(c *Config) { c.RetentionDays = -30 },
 		"precycle":       func(c *Config) { c.PrecyclePE = -3000 },
-		"spare blocks":   func(c *Config) { c.SpareBlocks = -1 },
+		"spare blocks":   func(c *Config) { c.Profile.SpareBlocks = -1 },
 	} {
 		cfg := testConfig(Profile{BaseRBER: 1e-5})
 		mutate(&cfg)
@@ -285,7 +285,7 @@ func TestProgramEraseFailuresQueueAndDrain(t *testing.T) {
 func TestSparesExhaustionDegradesToReadOnly(t *testing.T) {
 	prof := Profile{ProgramFailProb: 1}
 	cfg := testConfig(prof)
-	cfg.SpareBlocks = 3
+	cfg.Profile.SpareBlocks = 3
 	inj, _ := New(cfg)
 	for b := int64(0); b < 3; b++ {
 		if inj.ReadOnly() {

@@ -28,10 +28,6 @@ type Config struct {
 	TotalBlocks int64
 	// Endurance is the medium's rated P/E cycles.
 	Endurance int64
-	// SpareBlocks is the grown-bad budget: each block retirement consumes
-	// one; at zero the device degrades to read-only. Zero selects a budget
-	// of 16.
-	SpareBlocks int64
 	// PrecyclePE adds absolute P/E cycles on top of the profile's
 	// PrecycleFrac (the -precycle flag).
 	PrecyclePE int64
@@ -98,9 +94,9 @@ func New(cfg Config) (*Injector, error) {
 	if cfg.PageSize <= 0 || cfg.PagesPerBlock <= 0 || cfg.RowSize <= 0 || cfg.TotalBlocks <= 0 {
 		return nil, fmt.Errorf("fault: config needs positive geometry, got %+v", cfg)
 	}
-	if cfg.RetentionDays < 0 || cfg.PrecyclePE < 0 || cfg.SpareBlocks < 0 {
+	if cfg.RetentionDays < 0 || cfg.PrecyclePE < 0 || cfg.Profile.SpareBlocks < 0 {
 		return nil, fmt.Errorf("fault: negative retention days (%v), precycle P/E (%d) or spare blocks (%d)",
-			cfg.RetentionDays, cfg.PrecyclePE, cfg.SpareBlocks)
+			cfg.RetentionDays, cfg.PrecyclePE, cfg.Profile.SpareBlocks)
 	}
 	if cfg.ECC.CodewordBytes <= 0 {
 		cfg.ECC.CodewordBytes = 1024
@@ -111,7 +107,7 @@ func New(cfg Config) (*Injector, error) {
 	if cfg.Endurance > 0 && prof.PrecycleFrac > 0 {
 		pre += int64(prof.PrecycleFrac * float64(cfg.Endurance))
 	}
-	spares := cfg.SpareBlocks
+	spares := prof.SpareBlocks
 	if spares == 0 {
 		spares = 16
 	}

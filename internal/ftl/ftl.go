@@ -11,6 +11,7 @@ package ftl
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 
 	"oocnvm/internal/nvm"
@@ -19,6 +20,11 @@ import (
 	"oocnvm/internal/pool"
 	"oocnvm/internal/sim"
 )
+
+// ErrNoFreeSuperblock is returned (wrapped) by the drive for the request
+// whose write found the free pool empty: the log has nowhere left to place
+// a page, so the drive degrades to read-only.
+var ErrNoFreeSuperblock = errors.New("ftl: free superblock pool exhausted")
 
 // FTL is a page-mapped translation layer over one device's geometry.
 type FTL struct {
@@ -43,6 +49,7 @@ type FTL struct {
 	writePtr  int64    // next page slot within the active superblock
 	inGC      bool     // guards against reentrant garbage collection
 	preloaded int64    // superblocks occupied by preloaded, identity-mapped data
+	exhausted bool     // a page found no free superblock; see Err
 
 	// Statistics.
 	gcRuns     int64
@@ -258,7 +265,8 @@ func (f *FTL) Read(offset, size int64) []nvm.PageOp {
 
 // Write translates a byte-addressed write into page programs, appending to
 // the active superblock. The returned slice may also contain relocation
-// reads/programs and erases when garbage collection was required.
+// reads/programs and erases when garbage collection was required. Once the
+// free pool has run dry (see Err) no further page is placed.
 func (f *FTL) Write(offset, size int64) []nvm.PageOp {
 	if size <= 0 {
 		return nil
@@ -268,7 +276,7 @@ func (f *FTL) Write(offset, size int64) []nvm.PageOp {
 	// A due checkpoint rides ahead of the write that triggered it, so the
 	// journal the snapshot supersedes is already flushed and bounded.
 	ops := f.maybeCheckpoint(f.takeOps(int(last - first + 1)))
-	for lpn := first; lpn <= last; lpn++ {
+	for lpn := first; lpn <= last && !f.exhausted; lpn++ {
 		f.hostWrites++
 		ops = f.program(ops, lpn, true)
 	}
@@ -279,7 +287,8 @@ func (f *FTL) Write(offset, size int64) []nvm.PageOp {
 // program appends one logical page to the log, running GC first if the free
 // pool is exhausted, appending the emitted device operations to ops. host
 // marks a host write (bumping the page's durable version), as opposed to a
-// GC or retirement relocation (which moves the existing version).
+// GC or retirement relocation (which moves the existing version). When no
+// free superblock is left it leaves the page unplaced and latches Err.
 func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 	if f.active < 0 || f.writePtr >= f.spb {
 		if f.active >= 0 {
@@ -291,7 +300,12 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 		// partially filled) a fresh superblock; allocating unconditionally
 		// here would abandon it mid-fill and strand its valid pages.
 		if f.active < 0 || f.writePtr >= f.spb {
-			f.active = f.allocSuperblock()
+			id, ok := f.allocSuperblock()
+			if !ok {
+				f.exhausted = true
+				return ops
+			}
+			f.active = id
 			f.writePtr = 0
 			// Every allocation flushes the journal with its alloc record
 			// aboard: the newest replayable alloc then always designates
@@ -338,8 +352,9 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 }
 
 // allocSuperblock takes the least-worn free superblock, skipping stale heap
-// entries for superblocks that have since grown bad.
-func (f *FTL) allocSuperblock() int64 {
+// entries for superblocks that have since grown bad. It reports false when
+// none is left.
+func (f *FTL) allocSuperblock() (int64, bool) {
 	for f.freeHeap.Len() > 0 {
 		e := heap.Pop(&f.freeHeap).(wearEntry)
 		if f.sb[e.id].bad {
@@ -348,9 +363,18 @@ func (f *FTL) allocSuperblock() int64 {
 		f.sb[e.id].free = false
 		f.sb[e.id].sealed = false
 		f.sb[e.id].valid = 0
-		return e.id
+		return e.id, true
 	}
-	panic("ftl: free pool exhausted despite GC reserve")
+	return 0, false
+}
+
+// Err returns ErrNoFreeSuperblock once a page found no free superblock to
+// go to, and nil before.
+func (f *FTL) Err() error {
+	if f.exhausted {
+		return ErrNoFreeSuperblock
+	}
+	return nil
 }
 
 // maybeGC reclaims sealed superblocks until the free pool meets the reserve.
@@ -369,9 +393,24 @@ func (f *FTL) maybeGC(ops []nvm.PageOp) []nvm.PageOp {
 		if victim < 0 {
 			break // nothing reclaimable
 		}
+		// Relocation cannot collect again, so a victim whose valid pages
+		// overflow what the log can still take would strand them mid-copy.
+		if f.sb[victim].valid > f.room() {
+			break
+		}
 		ops = f.collect(ops, victim)
 	}
 	return ops
+}
+
+// room counts the pages the log can take without collecting: the open
+// superblock's free slots plus every usable free superblock.
+func (f *FTL) room() int64 {
+	n := int64(f.usableFree()) * f.spb
+	if f.active >= 0 {
+		n += f.spb - f.writePtr
+	}
+	return n
 }
 
 // pickVictim chooses the sealed, non-preloaded superblock with the fewest

@@ -1,31 +1,25 @@
 package netfault
 
-import "oocnvm/internal/sim"
+import (
+	"oocnvm/internal/nvm"
+	"oocnvm/internal/sim"
+)
 
-// Link is the data path a transfer crosses: both *interconnect.Line and
-// *interconnect.Chain satisfy it, so a profile can wrap a single fabric
-// port or a whole staged path (remote PCIe then the cluster network).
-type Link interface {
-	// Transfer books n bytes no earlier than at and returns completion.
-	Transfer(at sim.Time, n int64) sim.Time
-	// RequestOverhead reports the fixed per-request cost of the path.
-	RequestOverhead() sim.Time
-	// BytesPerSec reports the path's (bottleneck) bandwidth.
-	BytesPerSec() float64
-}
-
-// Degraded wraps a Link in a degradation Profile. The wrapper owns the
+// Degraded wraps the data path a transfer crosses in a degradation
+// Profile. Both *interconnect.Line and *interconnect.Chain are nvm.Links,
+// so a profile can wrap a single fabric port or a whole staged path
+// (remote PCIe then the cluster network). The wrapper owns the
 // bandwidth-cap pacing timeline, so a capped path serializes chunks at the
 // capped rate no matter how fast the underlying link is.
 type Degraded struct {
-	link Link
+	link nvm.Link
 	prof Profile
 
 	cap sim.Timeline // bandwidth-cap pacing; unused when uncapped
 }
 
 // Wrap degrades the link with the profile.
-func Wrap(l Link, p Profile) *Degraded {
+func Wrap(l nvm.Link, p Profile) *Degraded {
 	return &Degraded{link: l, prof: p}
 }
 

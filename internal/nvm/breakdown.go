@@ -75,13 +75,6 @@ func (p PAL) String() string {
 // PALHistogram counts requests by achieved parallelism level.
 type PALHistogram [4]int64
 
-// Record tallies one request at level p.
-func (h *PALHistogram) Record(p PAL) {
-	if p >= PAL1 && p <= PAL4 {
-		h[p-1]++
-	}
-}
-
 // Total returns the number of recorded requests.
 func (h PALHistogram) Total() int64 {
 	var t int64

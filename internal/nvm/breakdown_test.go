@@ -43,11 +43,7 @@ func TestPALString(t *testing.T) {
 }
 
 func TestPALHistogram(t *testing.T) {
-	var h PALHistogram
-	h.Record(PAL1)
-	h.Record(PAL4)
-	h.Record(PAL4)
-	h.Record(PAL(0)) // ignored
+	h := PALHistogram{1, 0, 0, 2}
 	if h.Total() != 3 {
 		t.Fatalf("Total = %d, want 3", h.Total())
 	}

@@ -95,7 +95,6 @@ type Device struct {
 	dieContMark [][]sim.Time
 
 	breakdown  Breakdown
-	pal        PALHistogram
 	started    bool
 	firstIssue sim.Time
 	lastEnd    sim.Time
@@ -370,7 +369,6 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 	case interleave:
 		pal = PAL2
 	}
-	d.pal.Record(pal)
 	d.cPAL[pal-1].Inc()
 	d.hLatency.Observe(end - at)
 	if d.probe.Enabled() {

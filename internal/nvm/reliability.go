@@ -30,8 +30,8 @@ func ECCFor(t CellType) fault.ECC {
 // FaultConfig derives a fault.Config from the device organization: the
 // page-striping numbers the injector needs to map physical page numbers to
 // eraseblocks, the medium's ECC budget and rated endurance, and the seed.
-// Callers may still adjust SpareBlocks, PrecyclePE and RetentionDays before
-// building the injector.
+// Callers may still adjust PrecyclePE and RetentionDays before building the
+// injector.
 func FaultConfig(geo Geometry, cell CellParams, prof fault.Profile, seed uint64) fault.Config {
 	rowSize := int64(geo.Channels * cell.Planes * geo.DiesPerChannel())
 	return fault.Config{

@@ -93,7 +93,7 @@ func (d *Device) Stats() Stats {
 		Erases:       d.cErases.Value(),
 		Span:         d.Span(),
 		Breakdown:    d.breakdown,
-		PAL:          d.pal,
+		PAL:          PALHistogram{d.cPAL[0].Value(), d.cPAL[1].Value(), d.cPAL[2].Value(), d.cPAL[3].Value()},
 
 		ChannelUtilization: d.ChannelUtilization(),
 		PackageUtilization: d.PackageUtilization(),

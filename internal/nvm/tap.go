@@ -36,19 +36,3 @@ type MediaTap interface {
 	// erase pulses destroy data before completing).
 	MediaErase(op PageOp, torn bool)
 }
-
-// InstrumentMapping attaches a tap to any component exposing
-// SetMappingTap(MappingTap), reporting whether it did. Mirrors
-// obs.Instrument: translators advertise the hook without this package
-// importing them.
-func InstrumentMapping(x any, t MappingTap) bool {
-	if x == nil || t == nil {
-		return false
-	}
-	s, ok := x.(interface{ SetMappingTap(MappingTap) })
-	if !ok {
-		return false
-	}
-	s.SetMappingTap(t)
-	return true
-}

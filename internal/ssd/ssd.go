@@ -282,9 +282,7 @@ type Config struct {
 	// means unlimited (bounded by QueueDepth only); New rejects a negative
 	// window.
 	WindowBytes int64
-	// CacheMode enables the dies' dual-register cache operation.
-	CacheMode bool
-	Seed      uint64
+	Seed        uint64
 	// Probe receives per-request spans and latency observations. Nil means
 	// observability off (a no-op probe, free on the hot path).
 	Probe obs.Probe
@@ -326,8 +324,14 @@ type SSD struct {
 	sampler   *timeseries.Sampler
 	faults    *fault.Injector
 	att       *attrib.Recorder
-	mountRO   error
-	err       error
+	// readOnly, when non-nil, refuses every write and erase, wrapped: the
+	// metadata was unrecoverable at mount, or the translator ran out of
+	// room to place writes.
+	readOnly error
+	// full reports a translator's exhausted free space (the FTL's Err); nil
+	// for translators that cannot run out.
+	full interface{ Err() error }
+	err  error
 
 	// opPool is this drive's page-op free list; pooled is the translator's
 	// release hook when it borrows from the pool (nil for translators that
@@ -352,18 +356,6 @@ func (s *SSD) OpPoolStats() (gets, reuses int64) {
 	return s.opPool.Gets(), s.opPool.Reuses()
 }
 
-// SetProbe attaches an observability probe to the drive, its device, the
-// fault injector, and (when the translator is probeable, like the FTL) the
-// translation layer. A nil probe disables probing.
-func (s *SSD) SetProbe(p obs.Probe) {
-	s.probe = obs.OrNop(p)
-	s.Dev.SetProbe(p)
-	if s.faults != nil {
-		s.faults.SetProbe(p)
-	}
-	obs.Instrument(s.trans, p)
-}
-
 // New builds an SSD from the configuration.
 func New(cfg Config) (*SSD, error) {
 	if cfg.Translator == nil {
@@ -382,9 +374,6 @@ func New(cfg Config) (*SSD, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CacheMode {
-		dev.EnableCacheMode()
-	}
 	s := &SSD{
 		Dev:      dev,
 		trans:    cfg.Translator,
@@ -397,6 +386,7 @@ func New(cfg Config) (*SSD, error) {
 		op.SetOpPool(s.opPool)
 		s.pooled = op
 	}
+	s.full, _ = cfg.Translator.(interface{ Err() error })
 	if cfg.Fault != nil && cfg.Fault.Enabled() {
 		s.faults = cfg.Fault
 		dev.SetFaults(cfg.Fault)
@@ -413,40 +403,40 @@ func New(cfg Config) (*SSD, error) {
 		s.att = cfg.Attrib
 		dev.SetAttrib(cfg.Attrib)
 	}
-	if cfg.Probe != nil {
-		s.SetProbe(cfg.Probe)
+	// The probe reaches the drive, its device (and through it the link),
+	// the fault injector and, when the translator is probeable like the
+	// FTL, the translation layer.
+	if p := cfg.Probe; p != nil {
+		s.probe = p
+		dev.SetProbe(p)
+		if s.faults != nil {
+			s.faults.SetProbe(p)
+		}
+		obs.Instrument(s.trans, p)
 	}
-	if cfg.Sampler != nil {
-		s.SetSampler(cfg.Sampler)
+	// The sampler gets the whole stack's series: the device's utilization
+	// fractions and link occupancy, the drive's queue depth, throughput and
+	// op rate, the translator's series (FTL GC activity, write
+	// amplification) and the fault injector's event deltas. The drive owns
+	// the simulated clock, so it is the one component that advances it.
+	if ts := cfg.Sampler; ts != nil {
+		s.sampler = ts
+		dev.RegisterSeries(ts)
+		ts.AddGauge("ssd.queue_depth", func(at sim.Time) float64 {
+			return float64(s.win.InFlightAt(at))
+		})
+		ts.AddRate("ssd.throughput_bps", func(sim.Time) float64 {
+			return float64(s.dataBytes)
+		})
+		ts.AddDelta("ssd.ops", func(sim.Time) float64 {
+			return float64(s.opsCount)
+		})
+		timeseries.Instrument(s.trans, ts)
+		if s.faults != nil {
+			s.faults.RegisterSeries(ts)
+		}
 	}
 	return s, nil
-}
-
-// SetSampler attaches a time-series sampler and registers the whole stack's
-// series on it: the device's utilization fractions and link occupancy, the
-// drive's queue depth / throughput / op rate, the translator's series (FTL
-// GC activity, write amplification) and the fault injector's event deltas.
-// The drive owns the simulated clock, so it is the one component that
-// advances the sampler. A nil sampler disables sampling.
-func (s *SSD) SetSampler(ts *timeseries.Sampler) {
-	s.sampler = ts
-	if ts == nil {
-		return
-	}
-	s.Dev.RegisterSeries(ts)
-	ts.AddGauge("ssd.queue_depth", func(at sim.Time) float64 {
-		return float64(s.win.InFlightAt(at))
-	})
-	ts.AddRate("ssd.throughput_bps", func(sim.Time) float64 {
-		return float64(s.dataBytes)
-	})
-	ts.AddDelta("ssd.ops", func(sim.Time) float64 {
-		return float64(s.opsCount)
-	})
-	timeseries.Instrument(s.trans, ts)
-	if s.faults != nil {
-		s.faults.RegisterSeries(ts)
-	}
 }
 
 // Err returns the first error any Submit call surfaced during the drive's
@@ -513,7 +503,10 @@ func (r Result) String() string {
 // capacity return ErrOutOfRange without touching the media; writes and
 // erases against a drive that has degraded to read-only return
 // fault.ErrReadOnly; reads whose bit errors exceed the ECC retry ladder
-// complete (the time is still modeled) but return fault.ErrUncorrectable.
+// complete (the time is still modeled) but return fault.ErrUncorrectable;
+// a request that leaves the translator out of room to place writes (the
+// FTL's ftl.ErrNoFreeSuperblock) returns that error and degrades the drive
+// to read-only.
 func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 	if s.sampler != nil {
 		// Sample boundaries up to the current clock before this request
@@ -550,8 +543,8 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 		s.att.Abort()
 		return s.clock, err
 	}
-	if s.mountRO != nil && op.Kind != trace.Read {
-		err := fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, s.mountRO)
+	if s.readOnly != nil && op.Kind != trace.Read {
+		err := fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, s.readOnly)
 		s.keep(err)
 		s.probe.Count("ssd.rejected_ops", 1)
 		s.att.Abort()
@@ -602,6 +595,20 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 			err = fmt.Errorf("ssd: %d uncorrectable page read(s) in %s offset=%d: %w",
 				n, op.Kind, op.Offset, fault.ErrUncorrectable)
 			s.keep(err)
+		}
+	}
+	if s.full != nil && s.readOnly == nil {
+		if ferr := s.full.Err(); ferr != nil {
+			// The translator ran out of room during this request: degrade
+			// to read-only, as an exhausted spare pool does.
+			s.readOnly = ferr
+			if s.faults != nil {
+				s.faults.Degrade()
+			}
+			if err == nil {
+				err = fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, ferr)
+				s.keep(err)
+			}
 		}
 	}
 	s.win.Complete(end, op.Size)
@@ -663,7 +670,7 @@ func (s *SSD) Mount(info MountInfo) {
 	end := arrive + info.Duration
 	s.att.Commit(end)
 	s.clock = end
-	s.mountRO = info.ReadOnly
+	s.readOnly = info.ReadOnly
 	s.probe.Count("ssd.mount.recoveries", 1)
 	s.probe.Observe("ssd.mount.recovery_time", info.Duration)
 }

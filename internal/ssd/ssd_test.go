@@ -336,7 +336,7 @@ func faultedConfig(t *testing.T, cell nvm.CellType, prof fault.Profile, spares i
 	t.Helper()
 	cfg := testConfig(cell)
 	fc := nvm.FaultConfig(cfg.Geometry, cfg.Cell, prof, cfg.Seed)
-	fc.SpareBlocks = spares
+	fc.Profile.SpareBlocks = spares
 	inj, err := fault.New(fc)
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +487,7 @@ func TestFTLGrownBadEndToEnd(t *testing.T) {
 		}
 		cfg.Translator = f
 		fc := nvm.FaultConfig(cfg.Geometry, cfg.Cell, prof, cfg.Seed)
-		fc.SpareBlocks = 64
+		fc.Profile.SpareBlocks = 64
 		inj, err := fault.New(fc)
 		if err != nil {
 			t.Fatal(err)
@@ -651,5 +651,34 @@ func TestSamplerOffLeavesResultsIdentical(t *testing.T) {
 	off, on := run(false), run(true)
 	if off.Elapsed != on.Elapsed || off.Bandwidth != on.Bandwidth {
 		t.Fatalf("sampling changed the simulation: off=%+v on=%+v", off, on)
+	}
+}
+
+// TestFTLOutOfRoomGoesReadOnly fills a fault-free three-superblock FTL
+// drive and then overwrites a page: with no free superblock and no stale
+// page to collect, the write returns ftl.ErrNoFreeSuperblock instead of
+// panicking, later writes are refused with it, and reads still complete.
+func TestFTLOutOfRoomGoesReadOnly(t *testing.T) {
+	cfg := testConfig(nvm.SLC)
+	cfg.Geometry.BlocksPerPlane = 3
+	f, err := ftl.New(cfg.Geometry, cfg.Cell, ftl.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Translator = f
+	s := newSSD(t, cfg)
+	if _, err := s.Submit(trace.BlockOp{Kind: trace.Write, Offset: 0, Size: f.CapacityBytes()}); err != nil {
+		t.Fatalf("filling write: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Submit(trace.BlockOp{Kind: trace.Write, Offset: 0, Size: 4096}); !errors.Is(err, ftl.ErrNoFreeSuperblock) {
+			t.Fatalf("overwrite %d: err = %v, want ftl.ErrNoFreeSuperblock", i, err)
+		}
+	}
+	if _, err := s.Submit(trace.BlockOp{Kind: trace.Read, Offset: 0, Size: 4096}); err != nil {
+		t.Fatalf("read after exhaustion: %v", err)
+	}
+	if !errors.Is(s.Err(), ftl.ErrNoFreeSuperblock) {
+		t.Fatalf("first error = %v, want ftl.ErrNoFreeSuperblock", s.Err())
 	}
 }
