@@ -85,6 +85,7 @@ func run(o options, w io.Writer) (retErr error) {
 		{"-precycle", float64(o.precycle), true},
 		{"-spares", float64(o.spares), true},
 		{"-durable-ckpt", float64(o.durableCkpt), false},
+		{"-paq", float64(o.paqDepth), false},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%s must not be negative, got %v", f.name, f.v)

@@ -178,6 +178,7 @@ func TestReplayRejectsBadFlags(t *testing.T) {
 		{"negative precycle", func(o *options) { o.precycle = -3000 }, "-precycle"},
 		{"negative spares", func(o *options) { o.spares = -1 }, "-spares"},
 		{"negative checkpoint interval", func(o *options) { o.durableCkpt = -5 }, "-durable-ckpt"},
+		{"negative PAQ window", func(o *options) { o.paqDepth = -1 }, "-paq"},
 		{"negative sample interval", func(o *options) { o.exp.SampleUS = -1 }, "-sample-us"},
 		{"negative exemplar count", func(o *options) { o.exp.AttribTop = -4 }, "-attrib-top"},
 		{"unknown cell", func(o *options) { o.cellName = "QLC" }, ""},

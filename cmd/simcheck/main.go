@@ -28,6 +28,7 @@ import (
 	"oocnvm/internal/fault"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs/export"
+	"oocnvm/internal/obs/report"
 	"oocnvm/internal/trace"
 )
 
@@ -45,7 +46,7 @@ type options struct {
 	crashEvery    int64
 	crashTraceOut string
 	crashStudy    bool
-	host          export.HostFlags
+	host          export.Flags // only -hostperf and -hostperf-out
 }
 
 // failure pairs a violation with enough context to reproduce it.
@@ -263,7 +264,7 @@ func run(opt options, out io.Writer) error {
 
 	fmt.Fprintf(out, "\nsimcheck: %d episodes, %d requests (%d attribution-conserving), %d metamorphic checks, %d crash points, %d violations\n",
 		episodes, requests, attributed, metaChecks, crashPoints, len(failures))
-	if err := opt.host.Write(out, host); err != nil {
+	if err := opt.host.Write(out, nil, nil, nil, host, report.RunInfo{}); err != nil {
 		return err
 	}
 	if len(failures) == 0 {
@@ -333,7 +334,7 @@ func main() {
 	flag.Int64Var(&opt.crashEvery, "crash-every", 0, "crash-point stride in P/E boundaries (0 = about 12 points)")
 	flag.StringVar(&opt.crashTraceOut, "crash-trace-out", "", "write the first failing crash point's minimized reproducer trace to this file")
 	flag.BoolVar(&opt.crashStudy, "crash-study", false, "measure journal write amplification vs mount-time recovery cost across checkpoint intervals on the Fig 7a workload")
-	opt.host.Register(flag.CommandLine)
+	opt.host.RegisterHost(flag.CommandLine)
 	flag.Parse()
 	if err := run(opt, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)

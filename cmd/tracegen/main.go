@@ -55,6 +55,9 @@ func buildFS(name string, capacity int64, seed uint64) (fs.FileSystem, error) {
 }
 
 func run(matrix, panel, apps int, fsName, posixF, blockF string, asJSON, fig6 bool, entries int, seed uint64, out, errw io.Writer) error {
+	if fig6 && entries < 1 {
+		return fmt.Errorf("-n must be at least 1 with -fig6, got %d", entries)
+	}
 	wl := ooc.Workload{
 		MatrixBytes:  int64(matrix) << 20,
 		PanelBytes:   int64(panel) << 20,

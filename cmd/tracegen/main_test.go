@@ -53,3 +53,30 @@ func TestTracegenRejectsUnknownFS(t *testing.T) {
 		t.Fatal("unknown file system accepted")
 	}
 }
+
+// TestTracegenRejectsBadFlags pins that a -fig6 table with no rows is an
+// error naming -n, while -n stays free without -fig6.
+func TestTracegenRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fig6    bool
+		entries int
+		ok      bool
+	}{
+		{"baseline", true, 8, true},
+		{"no rows without -fig6", false, 0, true},
+		{"zero rows", true, 0, false},
+		{"negative rows", true, -5, false},
+	} {
+		var out, errw bytes.Buffer
+		err := run(16, 4, 1, "GPFS", "", "", false, tc.fig6, tc.entries, 42, &out, &errw)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s rejected: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s accepted", tc.name)
+		case !tc.ok && !strings.Contains(err.Error(), "-n"):
+			t.Errorf("%s: error %q does not name -n", tc.name, err)
+		}
+	}
+}

@@ -80,7 +80,7 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 	if err != nil {
 		return CrashResult{}, err
 	}
-	f, ok := st.checked.inner.(*ftl.FTL)
+	f, ok := st.checked.Translator.(*ftl.FTL)
 	if !ok {
 		return CrashResult{}, fmt.Errorf("check: crash replay requires an FTL translator (config %v)", sc.Config.Kind)
 	}
@@ -164,7 +164,7 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 				Violation{Kind: "durability", Detail: fmt.Sprintf("recover failed with untyped error: %v", rerr)})
 			return out, nil
 		}
-		if !rep.ReadOnly || !rf.ReadOnly() {
+		if !rep.ReadOnly || !errors.Is(rf.Err(), ftl.ErrUnrecoverableMeta) {
 			out.Violations = append(out.Violations,
 				Violation{Kind: "durability", Detail: "unrecoverable metadata did not force a read-only mount"})
 		}
@@ -257,10 +257,6 @@ func checkDurability(rf *ftl.FTL, shadow map[int64]*pageShadow, salvaged bool) [
 func exerciseMount(sc StackConfig, rf *ftl.FTL, rep ftl.RecoveryReport, rerr error, shadow map[int64]*pageShadow) []Violation {
 	var out []Violation
 	rec := attrib.NewRecorder(0)
-	var roErr error
-	if rerr != nil {
-		roErr = rerr
-	}
 	drive, err := ssd.New(ssd.Config{
 		Geometry:   sc.geometry(),
 		Cell:       nvm.Params(sc.Cell),
@@ -273,7 +269,7 @@ func exerciseMount(sc StackConfig, rf *ftl.FTL, rep ftl.RecoveryReport, rerr err
 	if err != nil {
 		return []Violation{{Kind: "error", Detail: fmt.Sprintf("post-recovery stack build failed: %v", err)}}
 	}
-	drive.Mount(ssd.MountInfo{Duration: rep.Duration, ReadOnly: roErr})
+	drive.Mount(rep.Duration)
 	ps := rf.PageSize()
 	lpns := make([]int64, 0, len(shadow))
 	for lpn := range shadow {

@@ -89,7 +89,7 @@ func TestCrashUnrecoverableMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := st.checked.inner.(*ftl.FTL)
+	f := st.checked.Translator.(*ftl.FTL)
 	p := crashParams(sc)
 	for _, op := range Generate(p, sim.NewRNG(sc.Seed)) {
 		if st.inj.Crashed() {
@@ -111,7 +111,7 @@ func TestCrashUnrecoverableMeta(t *testing.T) {
 	if !errors.Is(rerr, ftl.ErrUnrecoverableMeta) {
 		t.Fatalf("recover returned %v, want ErrUnrecoverableMeta", rerr)
 	}
-	if !rep.ReadOnly || !rf.ReadOnly() {
+	if !rep.ReadOnly || !errors.Is(rf.Err(), ftl.ErrUnrecoverableMeta) {
 		t.Fatal("salvage mount is not read-only")
 	}
 	if !strings.Contains(rf.DumpState(), "readOnly=true") {

@@ -2,9 +2,6 @@ package check
 
 import (
 	"oocnvm/internal/nvm"
-	"oocnvm/internal/obs"
-	"oocnvm/internal/obs/timeseries"
-	"oocnvm/internal/pool"
 	"oocnvm/internal/ssd"
 )
 
@@ -16,10 +13,12 @@ import (
 // translator returns for a read against the oracle's reference mapping.
 // That last step is what makes the check end-to-end: even a translator that
 // lies consistently to its own tap cannot serve a host read from the wrong
-// physical page without the wrapper noticing.
+// physical page without the wrapper noticing. Every other method is the
+// embedded inner translator's, so a checked drive erases, retires, pools
+// and degrades exactly like an unchecked one.
 type Checked struct {
-	inner ssd.Translator
-	o     *Oracle
+	ssd.Translator
+	o *Oracle
 
 	// FlipOffset is a test-only hook that corrupts the offset handed to the
 	// inner translator on reads, simulating a translation defect (e.g. a
@@ -32,10 +31,8 @@ type Checked struct {
 // Wrap builds a Checked translator around inner, creating and attaching a
 // fresh oracle seeded with seed.
 func Wrap(inner ssd.Translator, seed uint64) *Checked {
-	c := &Checked{inner: inner, o: NewOracle(seed)}
-	if t, ok := inner.(interface{ SetMappingTap(nvm.MappingTap) }); ok {
-		t.SetMappingTap(c.o)
-	}
+	c := &Checked{Translator: inner, o: NewOracle(seed)}
+	inner.SetMappingTap(c.o)
 	return c
 }
 
@@ -46,13 +43,13 @@ func (c *Checked) Oracle() *Oracle { return c.o }
 // (bumping each covered page's version) and delegates placement.
 func (c *Checked) Write(offset, size int64) []nvm.PageOp {
 	if size > 0 {
-		ps := c.inner.PageSize()
+		ps := c.PageSize()
 		first, last := offset/ps, (offset+size-1)/ps
 		for lpn := first; lpn <= last; lpn++ {
 			c.o.BumpVersion(lpn)
 		}
 	}
-	return c.inner.Write(offset, size)
+	return c.Translator.Write(offset, size)
 }
 
 // Read implements ssd.Translator: it delegates (through the FlipOffset hook
@@ -64,7 +61,7 @@ func (c *Checked) Read(offset, size int64) []nvm.PageOp {
 	if c.FlipOffset != nil {
 		req = c.FlipOffset(offset)
 	}
-	ops := c.inner.Read(req, size)
+	ops := c.Translator.Read(req, size)
 	c.verifyRead(offset, size, ops)
 	return ops
 }
@@ -77,7 +74,7 @@ func (c *Checked) verifyRead(offset, size int64, ops []nvm.PageOp) {
 	if size <= 0 {
 		return
 	}
-	ps := c.inner.PageSize()
+	ps := c.PageSize()
 	first, last := offset/ps, (offset+size-1)/ps
 	want := int(last - first + 1)
 	if len(ops) != want {
@@ -92,72 +89,3 @@ func (c *Checked) verifyRead(offset, size int64, ops []nvm.PageOp) {
 		c.o.verify(first+int64(i), op.PPN, "host")
 	}
 }
-
-// Erase implements ssd.Translator. Invalidation bookkeeping arrives through
-// the inner translator's MapTrim tap calls.
-func (c *Checked) Erase(offset, size int64) []nvm.PageOp {
-	return c.inner.Erase(offset, size)
-}
-
-// PageSize implements ssd.Translator.
-func (c *Checked) PageSize() int64 { return c.inner.PageSize() }
-
-// CapacityBytes implements ssd.Translator.
-func (c *Checked) CapacityBytes() int64 { return c.inner.CapacityBytes() }
-
-// RetireBlock forwards grown-bad-block retirement when the inner translator
-// supports it; otherwise it reports OK=false, which is exactly what the
-// drive's recovery path does for a translator with no retirement support.
-func (c *Checked) RetireBlock(ppn int64) nvm.Retirement {
-	if br, ok := c.inner.(ssd.BlockRetirer); ok {
-		return br.RetireBlock(ppn)
-	}
-	return nvm.Retirement{}
-}
-
-// MediaTap forwards the inner translator's durable-media tap (nil when the
-// inner translator does not model durable metadata), so a checked stack
-// mirrors programs and erases into the media model exactly like an
-// unchecked one.
-func (c *Checked) MediaTap() nvm.MediaTap {
-	if mt, ok := c.inner.(interface{ MediaTap() nvm.MediaTap }); ok {
-		return mt.MediaTap()
-	}
-	return nil
-}
-
-// Err forwards the inner translator's out-of-room error (the FTL's
-// ftl.ErrNoFreeSuperblock), so a checked drive degrades to read-only
-// exactly when an unchecked one does.
-func (c *Checked) Err() error {
-	if e, ok := c.inner.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
-
-// SetOpPool forwards the drive's page-op free list to the inner translator
-// when it pools; the wrapper itself never retains translation slices, so a
-// checked stack recycles exactly like an unchecked one.
-func (c *Checked) SetOpPool(p *pool.Buffers[nvm.PageOp]) {
-	if op, ok := c.inner.(interface {
-		SetOpPool(*pool.Buffers[nvm.PageOp])
-	}); ok {
-		op.SetOpPool(p)
-	}
-}
-
-// ReleaseOps forwards the drive's end-of-request release to the inner
-// translator.
-func (c *Checked) ReleaseOps(ops []nvm.PageOp) {
-	if op, ok := c.inner.(interface{ ReleaseOps([]nvm.PageOp) }); ok {
-		op.ReleaseOps(ops)
-	}
-}
-
-// SetProbe forwards observability wiring to the inner translator, so a
-// checked stack reports the same obs counters an unchecked one does.
-func (c *Checked) SetProbe(p obs.Probe) { obs.Instrument(c.inner, p) }
-
-// RegisterSeries forwards time-series registration to the inner translator.
-func (c *Checked) RegisterSeries(s *timeseries.Sampler) { timeseries.Instrument(c.inner, s) }

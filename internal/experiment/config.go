@@ -140,12 +140,8 @@ func (c Config) buildFS(capacity int64, seed uint64) (fs.FileSystem, error) {
 	}
 }
 
-// BuildLink instantiates the configuration's host data path (exported for
-// external replay tooling).
-func (c Config) BuildLink() nvm.Link { return c.buildLink() }
-
-// buildLink instantiates the host data path.
-func (c Config) buildLink() nvm.Link {
+// BuildLink instantiates the configuration's host data path.
+func (c Config) BuildLink() nvm.Link {
 	if c.Remote {
 		return interconnect.IONPath(c.PCIe, c.Network)
 	}

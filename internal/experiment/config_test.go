@@ -81,8 +81,8 @@ func TestBuildFSKinds(t *testing.T) {
 }
 
 func TestBuildLinkKinds(t *testing.T) {
-	ion := IONGPFS().buildLink()
-	local := CNLUFS().buildLink()
+	ion := IONGPFS().BuildLink()
+	local := CNLUFS().BuildLink()
 	if ion.BytesPerSec() >= local.BytesPerSec() {
 		t.Fatal("remote link not slower than local")
 	}

@@ -30,7 +30,7 @@ type Drive struct {
 // FSUFS with its own PCIe and Bus. internal/check builds its own stacks,
 // around its checking translator.
 func Assemble(cfg Config, cell nvm.CellType, opt Options, window int64) (*Drive, error) {
-	return assemble(cfg, cell, opt, window, cfg.buildLink())
+	return assemble(cfg, cell, opt, window, cfg.BuildLink())
 }
 
 // assemble is Assemble over an explicit host link, so the media-capable

@@ -130,7 +130,7 @@ func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	achieved, err := replay(cfg, cell, opt, blockOps, window, cfg.buildLink())
+	achieved, err := replay(cfg, cell, opt, blockOps, window, cfg.BuildLink())
 	if err != nil {
 		return Measurement{}, err
 	}

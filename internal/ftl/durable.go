@@ -250,18 +250,14 @@ type durState struct {
 // Hand it to Recover after a power cut to remount the surviving state.
 func (f *FTL) Media() *Media { return f.media }
 
-// MediaTap exposes the media model under the nvm duck-typing hook the ssd
-// controller wires into the device; nil when durable mode is off.
+// MediaTap exposes the media model the ssd controller wires into the
+// device; nil when durable mode is off.
 func (f *FTL) MediaTap() nvm.MediaTap {
 	if f.media == nil {
 		return nil
 	}
 	return f.media
 }
-
-// ReadOnly reports whether the FTL mounted degraded after unrecoverable
-// metadata loss; the controller must reject writes and trims.
-func (f *FTL) ReadOnly() bool { return f.readOnly }
 
 // version returns lpn's current write version (0 for never-written
 // preloaded identity data).

@@ -60,11 +60,10 @@ type FTL struct {
 
 	// Durable-metadata model (nil when Config.Durable is off): journal
 	// and checkpoint bookkeeping, the simulated media state, and the
-	// degraded read-only latch mount-time recovery sets when metadata is
-	// unrecoverable.
+	// wrapped ErrUnrecoverableMeta a salvage mount latches (see Err).
 	dur      *durState
 	media    *Media
-	readOnly bool
+	readOnly error
 
 	probe obs.Probe
 	tap   nvm.MappingTap
@@ -368,9 +367,13 @@ func (f *FTL) allocSuperblock() (int64, bool) {
 	return 0, false
 }
 
-// Err returns ErrNoFreeSuperblock once a page found no free superblock to
-// go to, and nil before.
+// Err reports why the FTL takes no more writes: the wrapped
+// ErrUnrecoverableMeta after a salvage mount, ErrNoFreeSuperblock once a
+// page found no free superblock to go to, and nil otherwise.
 func (f *FTL) Err() error {
+	if f.readOnly != nil {
+		return f.readOnly
+	}
 	if f.exhausted {
 		return ErrNoFreeSuperblock
 	}

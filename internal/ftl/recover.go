@@ -67,7 +67,7 @@ type RecoveryReport struct {
 // A committed-but-unreadable journal page breaks the chain's trust: the
 // FTL then salvages what a full-media OOB scan can prove (highest version
 // wins) and mounts read-only, returning the salvaged FTL alongside a
-// wrapped ErrUnrecoverableMeta.
+// wrapped ErrUnrecoverableMeta, which its Err keeps returning.
 func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL, RecoveryReport, error) {
 	cfg.Durable.Enabled = true
 	f, err := New(geo, cell, cfg)
@@ -375,10 +375,11 @@ func (f *FTL) finishReport(rep *RecoveryReport, cell nvm.CellParams) {
 // a committed page that cannot be read, so replayed state past it cannot
 // be trusted. The FTL rebuilds a best-effort mapping from a full-media
 // OOB scan (highest version wins, ties to the highest physical page) and
-// mounts read-only.
+// mounts read-only: from here on Err returns the wrapped
+// ErrUnrecoverableMeta, so a drive built over it refuses every write.
 func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, RecoveryReport, error) {
 	rep.ReadOnly = true
-	f.readOnly = true
+	f.readOnly = fmt.Errorf("ftl: recover: journal page seq %d unreadable: %w", corruptSeq, ErrUnrecoverableMeta)
 	// Partial replay state is discarded wholesale — except the preload
 	// extent, whose genesis record precedes any corruption by
 	// construction and which the identity fallback depends on.
@@ -416,7 +417,7 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 	}
 	f.rebuild(m)
 	f.finishReport(&rep, f.cell)
-	return f, rep, fmt.Errorf("ftl: recover: journal page seq %d unreadable: %w", corruptSeq, ErrUnrecoverableMeta)
+	return f, rep, f.readOnly
 }
 
 // Mapping reports the translation for one logical page: its physical page,
@@ -440,7 +441,7 @@ func (f *FTL) Mapping(lpn int64) (ppn int64, ver uint64, ok bool) {
 func (f *FTL) DumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "active=%d writePtr=%d preloaded=%d readOnly=%v grownBad=%d\n",
-		f.active, f.writePtr, f.preloaded, f.readOnly, f.grownBad)
+		f.active, f.writePtr, f.preloaded, f.readOnly != nil, f.grownBad)
 	for i := int64(0); i < f.super; i++ {
 		s := f.sb[i]
 		fmt.Fprintf(&b, "sb %d: valid=%d wear=%d sealed=%v free=%v bad=%v\n",

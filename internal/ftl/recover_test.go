@@ -199,7 +199,7 @@ func TestRecoverUnrecoverableJournal(t *testing.T) {
 	if !errors.Is(err, ErrUnrecoverableMeta) {
 		t.Fatalf("got %v, want ErrUnrecoverableMeta", err)
 	}
-	if !rep.ReadOnly || !rf.ReadOnly() {
+	if !rep.ReadOnly || !errors.Is(rf.Err(), ErrUnrecoverableMeta) {
 		t.Fatal("salvage mount not read-only")
 	}
 	checkInvariants(t, rf)

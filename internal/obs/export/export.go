@@ -76,14 +76,21 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 		"write the top-K slow-request latency anatomy as CSV")
 	fs.IntVar(&f.AttribTop, "attrib-top", attrib.DefaultTopK,
 		"slow-request exemplar count kept for -attrib-out and report waterfalls")
-	fs.BoolVar(&f.HostPerf, "hostperf", false,
-		"print the per-phase host cost (wall, cpu, allocs, GC); one phase per matrix cell (runs cells serially)")
-	fs.StringVar(&f.HostPerfOut, "hostperf-out", "",
-		"write the host-performance summary (JSON, or CSV with a .csv suffix)")
+	f.RegisterHost(fs)
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "",
 		"write a runtime/pprof CPU profile of the process to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "",
 		"write a runtime/pprof heap profile of the process to this file")
+}
+
+// RegisterHost installs just the -hostperf/-hostperf-out pair, for commands
+// (like simcheck) that take no other observability export, so they don't
+// grow a dozen dead flags. Register installs it too.
+func (f *Flags) RegisterHost(fs *flag.FlagSet) {
+	fs.BoolVar(&f.HostPerf, "hostperf", false,
+		"print the per-phase host cost (wall, cpu, allocs, GC); one phase per matrix cell (runs cells serially)")
+	fs.StringVar(&f.HostPerfOut, "hostperf-out", "",
+		"write the host-performance summary (JSON, or CSV with a .csv suffix)")
 }
 
 // RegisterNetProfile installs the shared -net-profile flag: the named
@@ -259,10 +266,28 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 		}
 	}
 	if host != nil {
-		hsum := host.Summary()
-		info.Host = hsum
-		if err := writeHostSummary(w, hsum, f.HostPerf, f.HostPerfOut); err != nil {
-			return err
+		info.Host = host.Summary()
+		if f.HostPerf {
+			fmt.Fprint(w, info.Host.FormatTable())
+		}
+		if out := f.HostPerfOut; out != "" {
+			hf, err := os.Create(out)
+			if err != nil {
+				return err
+			}
+			if strings.HasSuffix(out, ".csv") {
+				err = info.Host.WriteCSV(hf)
+			} else {
+				err = info.Host.WriteJSON(hf)
+			}
+			if err != nil {
+				hf.Close()
+				return err
+			}
+			if err := hf.Close(); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "host performance written to %s\n", out)
 		}
 	}
 	if f.ReportOut != "" {
@@ -305,67 +330,4 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 		fmt.Fprintf(w, "report written to %s (%d series, csv %s)\n", f.ReportOut, n, csvPath)
 	}
 	return nil
-}
-
-// writeHostSummary prints the host-cost table when asked and writes the
-// summary file (CSV with a .csv suffix, JSON otherwise), confirming with one
-// line on w.
-func writeHostSummary(w io.Writer, sum *hostperf.Summary, print bool, out string) error {
-	if print {
-		fmt.Fprint(w, sum.FormatTable())
-	}
-	if out != "" {
-		hf, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(out, ".csv") {
-			err = sum.WriteCSV(hf)
-		} else {
-			err = sum.WriteJSON(hf)
-		}
-		if err != nil {
-			hf.Close()
-			return err
-		}
-		if err := hf.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "host performance written to %s\n", out)
-	}
-	return nil
-}
-
-// HostFlags is the standalone -hostperf/-hostperf-out pair for commands
-// (like simcheck) that take no other observability exports, so they don't
-// grow a dozen dead flags.
-type HostFlags struct {
-	HostPerf    bool
-	HostPerfOut string
-}
-
-// Register installs the host-performance flags on fs.
-func (f *HostFlags) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&f.HostPerf, "hostperf", false,
-		"print the per-phase host cost (wall, cpu, allocs, GC)")
-	fs.StringVar(&f.HostPerfOut, "hostperf-out", "",
-		"write the host-performance summary (JSON, or CSV with a .csv suffix)")
-}
-
-// Host returns a fresh host-performance collector when requested, nil
-// otherwise.
-func (f *HostFlags) Host() *hostperf.Collector {
-	if !f.HostPerf && f.HostPerfOut == "" {
-		return nil
-	}
-	return hostperf.NewCollector()
-}
-
-// Write emits the requested host-performance outputs. host may be nil (a
-// no-op).
-func (f *HostFlags) Write(w io.Writer, host *hostperf.Collector) error {
-	if host == nil {
-		return nil
-	}
-	return writeHostSummary(w, host.Summary(), f.HostPerf, f.HostPerfOut)
 }

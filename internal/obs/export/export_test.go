@@ -237,9 +237,6 @@ func TestStartProfilesWritesArtifacts(t *testing.T) {
 	}
 }
 
-// TestRegisterOnSeparateFlagSets pins that two commands can each register
-// the full flag surface (including the hostperf flags shared by name with
-// HostFlags) on their own FlagSet without a duplicate-definition panic.
 func TestStartProfilesRejectsNegativeFlags(t *testing.T) {
 	for flag, f := range map[string]Flags{
 		"-sample-us":  {SampleUS: -1},
@@ -259,15 +256,17 @@ func TestStartProfilesRejectsNegativeFlags(t *testing.T) {
 	}
 }
 
+// TestRegisterOnSeparateFlagSets pins that two commands can each register
+// the full flag surface on their own FlagSet without a duplicate-definition
+// panic, and that a third can register just the hostperf pair.
 func TestRegisterOnSeparateFlagSets(t *testing.T) {
-	var a, b Flags
+	var a, b, h Flags
 	fsA := flag.NewFlagSet("a", flag.ContinueOnError)
 	fsB := flag.NewFlagSet("b", flag.ContinueOnError)
 	a.Register(fsA)
 	b.Register(fsB)
-	var h HostFlags
 	fsC := flag.NewFlagSet("c", flag.ContinueOnError)
-	h.Register(fsC)
+	h.RegisterHost(fsC)
 	if err := fsA.Parse([]string{"-hostperf", "-hostperf-out", "h.json"}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +280,10 @@ func TestRegisterOnSeparateFlagSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !h.HostPerf {
-		t.Fatalf("HostFlags not parsed: %+v", h)
+		t.Fatalf("RegisterHost flags not parsed: %+v", h)
+	}
+	if fsC.Lookup("hostperf-out") == nil || fsC.Lookup("trace-out") != nil {
+		t.Fatal("RegisterHost must install exactly the hostperf pair")
 	}
 }
 
@@ -297,10 +299,6 @@ func TestHostCollectorGating(t *testing.T) {
 	h := Flags{HostPerfOut: "h.json"}
 	if h.Host() == nil {
 		t.Fatal("host collector missing for -hostperf-out")
-	}
-	var hf HostFlags
-	if hf.Host() != nil {
-		t.Fatal("HostFlags collector built when disabled")
 	}
 }
 
@@ -396,21 +394,23 @@ func TestReportBytesIdenticalWithoutHost(t *testing.T) {
 	}
 }
 
+// TestHostFlagsWrite covers a command that registers only the hostperf
+// pair (RegisterHost) and writes through Flags with no other collector.
 func TestHostFlagsWrite(t *testing.T) {
-	var hf HostFlags
+	var hf Flags
 	var out bytes.Buffer
 	// Nil collector: no-op.
-	if err := hf.Write(&out, nil); err != nil {
+	if err := hf.Write(&out, nil, nil, nil, nil, report.RunInfo{}); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("nil host wrote %q", out.String())
 	}
-	hf = HostFlags{HostPerf: true}
+	hf = Flags{HostPerf: true}
 	host := hf.Host()
 	end := host.Phase("check")
 	end()
-	if err := hf.Write(&out, host); err != nil {
+	if err := hf.Write(&out, nil, nil, nil, host, report.RunInfo{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"host performance", "phase", "check", "total"} {

@@ -97,7 +97,7 @@ func (q *PAQ) cost(op trace.BlockOp) sim.Time {
 	}
 	// The probe borrowed a translation slice like any host read; hand it
 	// back before the real submission needs one.
-	q.ssd.releaseOps(ops)
+	q.ssd.trans.ReleaseOps(ops)
 	return worst
 }
 

@@ -28,31 +28,36 @@ import (
 var ErrOutOfRange = errors.New("ssd: request outside device capacity")
 
 // Translator maps byte-addressed block operations to NVM page operations.
+// It is the whole contract between the drive and its translation layer:
+// the FTL under a conventional file system, or UFS's Direct mapping.
 type Translator interface {
 	Read(offset, size int64) []nvm.PageOp
 	Write(offset, size int64) []nvm.PageOp
 	Erase(offset, size int64) []nvm.PageOp
 	PageSize() int64
 	CapacityBytes() int64
-}
-
-// BlockRetirer is implemented by translators that can retire a grown-bad
-// block and relocate its still-valid data (the FTL, and Direct via its
-// bad-block remap table). The controller calls it when the fault injector
-// reports a program or erase failure.
-type BlockRetirer interface {
-	RetireBlock(ppn int64) nvm.Retirement
-}
-
-// OpPooler is implemented by translators that can borrow the page-op slices
-// their host-facing translations return from a per-drive free list. The
-// drive attaches its pool at construction and releases each translation's
-// slice once the request's scheduling is complete; the requests are strictly
-// serial (one goroutine per drive, single outstanding translation), so at
-// most one borrow is live at a time.
-type OpPooler interface {
+	BlockRetirer
+	// Err reports why the translator takes no more writes (its free pool
+	// ran dry, or it mounted read-only); nil while it still does.
+	Err() error
+	// MediaTap is the durable media model the device mirrors programs and
+	// erases into; nil when the translator models none.
+	MediaTap() nvm.MediaTap
+	// SetMappingTap attaches a conformance tap; nil detaches.
+	SetMappingTap(t nvm.MappingTap)
+	// SetOpPool attaches the drive's page-op free list that translations
+	// borrow their slices from; ReleaseOps returns a finished translation's
+	// slice. A drive's requests are serial, so one borrow is live at most.
 	SetOpPool(p *pool.Buffers[nvm.PageOp])
 	ReleaseOps(ops []nvm.PageOp)
+}
+
+// BlockRetirer retires a grown-bad block and relocates its still-valid
+// data (the FTL by superblock, Direct via its bad-block remap table). The
+// controller calls it when the fault injector reports a program or erase
+// failure.
+type BlockRetirer interface {
+	RetireBlock(ppn int64) nvm.Retirement
 }
 
 // DirectSpareBlocks is the eraseblock count Direct reserves at the top of
@@ -78,13 +83,13 @@ type Direct struct {
 	tap nvm.MappingTap
 
 	// opPool recycles translation slices when the drive attaches its free
-	// list; opRef is the (single) live borrow. See OpPooler.
+	// list; opRef is the (single) live borrow. See Translator.SetOpPool.
 	opPool *pool.Buffers[nvm.PageOp]
 	opRef  pool.Ref[nvm.PageOp]
 }
 
-// SetOpPool implements OpPooler: subsequent translations borrow their slices
-// from the drive's free list.
+// SetOpPool makes subsequent translations borrow their slices from the
+// drive's free list.
 func (d *Direct) SetOpPool(p *pool.Buffers[nvm.PageOp]) { d.opPool = p }
 
 // takeOps returns the slice a translation builds into: a pooled borrow when
@@ -97,8 +102,9 @@ func (d *Direct) takeOps(hint int) []nvm.PageOp {
 	return d.opRef.Slice()
 }
 
-// ReleaseOps implements OpPooler: the translation slice (and any aliases)
-// must not be touched after release. Never-borrowed slices are ignored.
+// ReleaseOps returns a translation's slice to the drive's free list; the
+// slice (and any aliases) must not be touched after release. Never-borrowed
+// slices are ignored.
 func (d *Direct) ReleaseOps(ops []nvm.PageOp) {
 	if d.opPool == nil || !d.opRef.Valid() {
 		return
@@ -110,6 +116,13 @@ func (d *Direct) ReleaseOps(ops []nvm.PageOp) {
 // SetMappingTap attaches a conformance tap observing every translation this
 // Direct mapping serves, including bad-block redirections. Nil detaches.
 func (d *Direct) SetMappingTap(t nvm.MappingTap) { d.tap = t }
+
+// Err is always nil: identity striping never runs out of room to place a
+// write. Spare exhaustion is the fault injector's to report.
+func (d *Direct) Err() error { return nil }
+
+// MediaTap is always nil: Direct keeps no durable metadata to recover.
+func (d *Direct) MediaTap() nvm.MediaTap { return nil }
 
 // NewDirect builds the identity translator with an empty bad-block remap.
 func NewDirect(geo nvm.Geometry, cell nvm.CellParams) *Direct {
@@ -324,34 +337,20 @@ type SSD struct {
 	sampler   *timeseries.Sampler
 	faults    *fault.Injector
 	att       *attrib.Recorder
-	// readOnly, when non-nil, refuses every write and erase, wrapped: the
-	// metadata was unrecoverable at mount, or the translator ran out of
-	// room to place writes.
+	// readOnly, when non-nil, refuses every write and erase, wrapped: it is
+	// the translator's Err, latched when the drive was built (a salvage
+	// mount) or when a request left the translator out of room.
 	readOnly error
-	// full reports a translator's exhausted free space (the FTL's Err); nil
-	// for translators that cannot run out.
-	full interface{ Err() error }
-	err  error
+	err      error
 
-	// opPool is this drive's page-op free list; pooled is the translator's
-	// release hook when it borrows from the pool (nil for translators that
-	// allocate their own slices). Per-instance pooling keeps Matrix workers
-	// share-nothing.
+	// opPool is this drive's page-op free list, which the translator borrows
+	// its translation slices from. Per-instance pooling keeps Matrix
+	// workers share-nothing.
 	opPool *pool.Buffers[nvm.PageOp]
-	pooled OpPooler
-}
-
-// releaseOps hands a finished translation's slice back to the translator's
-// free list (a no-op for non-pooling translators).
-func (s *SSD) releaseOps(ops []nvm.PageOp) {
-	if s.pooled != nil {
-		s.pooled.ReleaseOps(ops)
-	}
 }
 
 // OpPoolStats reports the drive's page-op free-list activity: total borrows
-// served and how many reused recycled storage. Zero/zero when the translator
-// does not pool.
+// served and how many reused recycled storage.
 func (s *SSD) OpPoolStats() (gets, reuses int64) {
 	return s.opPool.Gets(), s.opPool.Reuses()
 }
@@ -381,24 +380,18 @@ func New(cfg Config) (*SSD, error) {
 		capacity: cfg.Translator.CapacityBytes(),
 		probe:    obs.Nop{},
 		opPool:   new(pool.Buffers[nvm.PageOp]),
+		// A translator that already takes no writes (the FTL after a salvage
+		// mount) makes the drive read-only from its first request.
+		readOnly: cfg.Translator.Err(),
 	}
-	if op, ok := cfg.Translator.(OpPooler); ok {
-		op.SetOpPool(s.opPool)
-		s.pooled = op
-	}
-	s.full, _ = cfg.Translator.(interface{ Err() error })
+	cfg.Translator.SetOpPool(s.opPool)
 	if cfg.Fault != nil && cfg.Fault.Enabled() {
 		s.faults = cfg.Fault
 		dev.SetFaults(cfg.Fault)
 	}
-	// A durable-metadata translator exposes a media tap; wiring it makes the
-	// device mirror every program/erase into the translator's media model so
-	// crash recovery has OOB tags to scan.
-	if mt, ok := cfg.Translator.(interface{ MediaTap() nvm.MediaTap }); ok {
-		if tap := mt.MediaTap(); tap != nil {
-			dev.SetMediaTap(tap)
-		}
-	}
+	// The device mirrors every program/erase into a durable-metadata
+	// translator's media model, so crash recovery has OOB tags to scan.
+	dev.SetMediaTap(cfg.Translator.MediaTap())
 	if cfg.Attrib != nil {
 		s.att = cfg.Attrib
 		dev.SetAttrib(cfg.Attrib)
@@ -520,35 +513,20 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 		s.clock = sim.MaxTime(s.clock, s.win.Drain())
 	}
 	if op.Offset < 0 || op.Offset >= s.capacity || op.Size < 0 || op.Size > s.capacity-op.Offset {
-		err := fmt.Errorf("%w: %s offset=%d size=%d capacity=%d",
-			ErrOutOfRange, op.Kind, op.Offset, op.Size, s.capacity)
-		s.keep(err)
-		s.probe.Count("ssd.rejected_ops", 1)
-		s.att.Abort()
-		return s.clock, err
+		return s.reject(fmt.Errorf("%w: %s offset=%d size=%d capacity=%d",
+			ErrOutOfRange, op.Kind, op.Offset, op.Size, s.capacity))
 	}
 	if s.faults.Crashed() {
 		// Power is gone: nothing — not even reads — completes until the
 		// stack is rebuilt around a recovered translator.
-		err := fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, fault.ErrPowerLoss)
-		s.keep(err)
-		s.probe.Count("ssd.rejected_ops", 1)
-		s.att.Abort()
-		return s.clock, err
+		return s.reject(fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, fault.ErrPowerLoss))
 	}
 	if s.faults != nil && s.faults.ReadOnly() && op.Kind != trace.Read {
 		s.faults.RejectOp()
-		err := fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, fault.ErrReadOnly)
-		s.keep(err)
-		s.att.Abort()
-		return s.clock, err
+		return s.reject(fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, fault.ErrReadOnly))
 	}
 	if s.readOnly != nil && op.Kind != trace.Read {
-		err := fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, s.readOnly)
-		s.keep(err)
-		s.probe.Count("ssd.rejected_ops", 1)
-		s.att.Abort()
-		return s.clock, err
+		return s.reject(fmt.Errorf("ssd: %s offset=%d size=%d: %w", op.Kind, op.Offset, op.Size, s.readOnly))
 	}
 	// Translation (FTL mapping, GC relocation planning, Direct striping)
 	// builds the request's page-op slice.
@@ -597,8 +575,8 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 			s.keep(err)
 		}
 	}
-	if s.full != nil && s.readOnly == nil {
-		if ferr := s.full.Err(); ferr != nil {
+	if s.readOnly == nil {
+		if ferr := s.trans.Err(); ferr != nil {
 			// The translator ran out of room during this request: degrade
 			// to read-only, as an exhausted spare pool does.
 			s.readOnly = ferr
@@ -637,7 +615,7 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 	}
 	// The request is fully scheduled and every reader of pageOps above is
 	// done: recycle the translation's storage for the next request.
-	s.releaseOps(pageOps)
+	s.trans.ReleaseOps(pageOps)
 	return end, err
 }
 
@@ -648,31 +626,30 @@ func (s *SSD) keep(err error) {
 	}
 }
 
-// MountInfo describes a completed mount-time crash recovery so the drive
-// can book its cost and, when the metadata was unrecoverable, pin the
-// stack read-only.
-type MountInfo struct {
-	// Duration is the simulated recovery time (ftl.RecoveryReport.Duration).
-	Duration sim.Time
-	// ReadOnly, when non-nil, is the typed unrecoverable-metadata error;
-	// every post-mount write or erase is rejected wrapping it.
-	ReadOnly error
+// reject refuses a request before it reaches the translator: the error is
+// kept, the refusal counted and the request's attribution record dropped.
+func (s *SSD) reject(err error) (sim.Time, error) {
+	s.keep(err)
+	s.probe.Count("ssd.rejected_ops", 1)
+	s.att.Abort()
+	return s.clock, err
 }
 
-// Mount books a mount-time recovery against the drive's clock and
-// telemetry: the whole duration lands on the Recovery attribution
-// component under the synthetic "mount" request kind, and counters record
-// the recovery and its cost for the HTML report.
-func (s *SSD) Mount(info MountInfo) {
+// Mount books a mount-time recovery of duration d
+// (ftl.RecoveryReport.Duration) against the drive's clock and telemetry:
+// the whole duration lands on the Recovery attribution component under the
+// synthetic "mount" request kind, and counters record the recovery and its
+// cost for the HTML report. A salvage mount needs nothing more: its
+// translator's Err made the drive read-only when New built it.
+func (s *SSD) Mount(d sim.Time) {
 	arrive := s.clock
 	s.att.Begin(3, 0, 0, arrive)
-	s.att.Note(attrib.Recovery, info.Duration)
-	end := arrive + info.Duration
+	s.att.Note(attrib.Recovery, d)
+	end := arrive + d
 	s.att.Commit(end)
 	s.clock = end
-	s.readOnly = info.ReadOnly
 	s.probe.Count("ssd.mount.recoveries", 1)
-	s.probe.Observe("ssd.mount.recovery_time", info.Duration)
+	s.probe.Observe("ssd.mount.recovery_time", d)
 }
 
 // recover drains the injector's pending program/erase failures, asking the
@@ -680,24 +657,19 @@ func (s *SSD) Mount(info MountInfo) {
 // traffic to the device clock. Relocation programs can themselves fail, so
 // the drain loops until quiescent; termination is guaranteed because the
 // injector never fails an already-retired block and every retirement
-// consumes one finite spare. When the translator cannot relocate (or is not
-// a BlockRetirer) the drive degrades to read-only.
+// consumes one finite spare. When the translator cannot relocate the drive
+// degrades to read-only.
 func (s *SSD) recover(at sim.Time) sim.Time {
 	for {
 		fails := s.faults.TakeFailures()
 		if len(fails) == 0 {
 			return at
 		}
-		br, can := s.trans.(BlockRetirer)
 		for _, f := range fails {
 			if s.faults.ReadOnly() {
 				return at
 			}
-			if !can {
-				s.faults.Degrade()
-				return at
-			}
-			r := br.RetireBlock(f.PPN)
+			r := s.trans.RetireBlock(f.PPN)
 			if !r.OK {
 				s.faults.Degrade()
 				return at

@@ -10,6 +10,7 @@ import (
 	"oocnvm/internal/interconnect"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs"
+	"oocnvm/internal/obs/attrib"
 	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/sim"
 	"oocnvm/internal/trace"
@@ -437,6 +438,8 @@ func TestEOLFaultCountersDeterministic(t *testing.T) {
 func TestSparesExhaustedReadOnly(t *testing.T) {
 	prof := fault.Profile{Name: "killer", ProgramFailProb: 1}
 	cfg := faultedConfig(t, nvm.SLC, prof, 2)
+	c := obs.NewCollector()
+	cfg.Probe = c
 	s := newSSD(t, cfg)
 	var roErr error
 	for i := int64(0); i < 64 && roErr == nil; i++ {
@@ -463,8 +466,13 @@ func TestSparesExhaustedReadOnly(t *testing.T) {
 	if _, err := s.Submit(trace.BlockOp{Kind: trace.Write, Offset: 0, Size: 4096}); !errors.Is(err, fault.ErrReadOnly) {
 		t.Fatalf("write on read-only drive: %v", err)
 	}
-	if s.Finish().Faults.RejectedOps == 0 {
+	rejected := s.Finish().Faults.RejectedOps
+	if rejected == 0 {
 		t.Fatal("rejected writes not counted")
+	}
+	// The drive counts the injector's refusals like every other refusal.
+	if got := c.Reg.Counter("ssd.rejected_ops").Value(); got != rejected {
+		t.Fatalf("ssd.rejected_ops = %d, want the injector's %d", got, rejected)
 	}
 	if !errors.Is(s.Err(), fault.ErrReadOnly) && !errors.Is(s.Err(), fault.ErrUncorrectable) {
 		t.Fatalf("sticky error = %v", s.Err())
@@ -680,5 +688,63 @@ func TestFTLOutOfRoomGoesReadOnly(t *testing.T) {
 	}
 	if !errors.Is(s.Err(), ftl.ErrNoFreeSuperblock) {
 		t.Fatalf("first error = %v, want ftl.ErrNoFreeSuperblock", s.Err())
+	}
+}
+
+// TestSalvagedFTLReadOnlyFromNew builds a drive over an FTL that recovery
+// salvaged after its metadata chain was corrupted. The FTL's Err carries
+// ftl.ErrUnrecoverableMeta, so the drive refuses writes from its first
+// request, before and after Mount, while reads keep completing; Mount books
+// its duration on the Recovery attribution component.
+func TestSalvagedFTLReadOnlyFromNew(t *testing.T) {
+	cfg := testConfig(nvm.SLC)
+	cfg.Geometry.BlocksPerPlane = 8
+	f, err := ftl.New(cfg.Geometry, cfg.Cell, ftl.Config{
+		Durable: ftl.DurableConfig{Enabled: true, CheckpointEveryPages: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Translator = f
+	s := newSSD(t, cfg)
+	ps := f.PageSize()
+	for i := int64(0); i < 256; i++ {
+		if _, err := s.Submit(trace.BlockOp{Kind: trace.Write, Offset: (i % 64) * ps, Size: ps}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	s.Finish()
+	m := f.Media()
+	for seq := int64(0); seq < 4*m.MetaPages(); seq++ {
+		m.CorruptMeta(seq)
+	}
+	rf, rep, err := ftl.Recover(cfg.Geometry, cfg.Cell, ftl.Config{}, m)
+	if !errors.Is(err, ftl.ErrUnrecoverableMeta) || rep.Duration <= 0 {
+		t.Fatalf("recover: err %v, duration %v; want a priced salvage mount", err, rep.Duration)
+	}
+
+	cfg.Translator = rf
+	cfg.Attrib = attrib.NewRecorder(0)
+	drive := newSSD(t, cfg)
+	write := func(when string) {
+		t.Helper()
+		if _, err := drive.Submit(trace.BlockOp{Kind: trace.Write, Offset: 0, Size: ps}); !errors.Is(err, ftl.ErrUnrecoverableMeta) {
+			t.Fatalf("write %s Mount: err = %v, want ftl.ErrUnrecoverableMeta", when, err)
+		}
+		// Refused at the door: the salvaged FTL never placed the page.
+		if n := rf.Stats().HostWrites; n != 0 {
+			t.Fatalf("write %s Mount reached the salvaged FTL (%d host pages)", when, n)
+		}
+	}
+	write("before")
+	if _, err := drive.Submit(trace.BlockOp{Kind: trace.Read, Offset: 0, Size: 4 * ps}); err != nil {
+		t.Fatalf("read on salvaged drive: %v", err)
+	}
+	drive.Mount(rep.Duration)
+	if got := cfg.Attrib.Summary().Totals[attrib.Recovery]; got != rep.Duration {
+		t.Fatalf("Recovery component = %v, want the mount's %v", got, rep.Duration)
+	}
+	write("after")
+	if _, err := drive.Submit(trace.BlockOp{Kind: trace.Read, Offset: ps, Size: ps}); err != nil {
+		t.Fatalf("read after Mount: %v", err)
 	}
 }

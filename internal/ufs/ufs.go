@@ -44,12 +44,7 @@ type UFS struct {
 	extents   map[string]*Extent
 	erased    map[int64]bool  // eraseblock index -> clean
 	wear      map[int64]int64 // eraseblock index -> erase count
-
-	probe obs.Probe
 }
-
-// SetProbe attaches an observability probe counting extent operations.
-func (u *UFS) SetProbe(p obs.Probe) { u.probe = obs.OrNop(p) }
 
 // New creates a UFS over a device of the given capacity and eraseblock size.
 // All blocks start clean (factory state).
@@ -66,7 +61,6 @@ func New(capacity, blockSize int64) (*UFS, error) {
 		extents:   make(map[string]*Extent),
 		erased:    make(map[int64]bool),
 		wear:      make(map[int64]int64),
-		probe:     obs.Nop{},
 	}
 	for b := int64(0); b < capacity/blockSize; b++ {
 		u.erased[b] = true
@@ -133,8 +127,6 @@ func (u *UFS) Read(name string, off, size int64) ([]trace.BlockOp, error) {
 	if off < 0 || size < 0 || off+size > e.Size {
 		return nil, fmt.Errorf("ufs: read %q: range [%d,%d) outside extent of %d bytes", name, off, off+size, e.Size)
 	}
-	u.probe.Count("ufs.reads", 1)
-	u.probe.Count("ufs.read_bytes", size)
 	return chunk(trace.Read, e.Offset+off, size), nil
 }
 
@@ -162,8 +154,6 @@ func (u *UFS) Write(name string, off, size int64) ([]trace.BlockOp, error) {
 	for b := first; b <= last; b++ {
 		u.erased[b] = false
 	}
-	u.probe.Count("ufs.writes", 1)
-	u.probe.Count("ufs.write_bytes", size)
 	return chunk(trace.Write, e.Offset+off, size), nil
 }
 
@@ -184,7 +174,6 @@ func (u *UFS) Erase(name string) ([]trace.BlockOp, error) {
 		u.wear[b]++
 		ops = append(ops, trace.BlockOp{Kind: trace.Erase, Offset: b * u.blockSize, Size: u.blockSize, Meta: true})
 	}
-	u.probe.Count("ufs.erases", last-first+1)
 	return ops, nil
 }
 
