@@ -53,6 +53,7 @@ func main() {
 		exp      export.Flags
 	)
 	exp.Register(flag.CommandLine)
+	flag.CommandLine.Lookup("hostperf").Usage += "; one phase per matrix cell (runs cells serially)"
 	export.RegisterNetProfile(flag.CommandLine, &netProf)
 	flag.Parse()
 
@@ -91,8 +92,8 @@ func main() {
 	}
 	// The cache study samples its own synthetic clock; every other mode gets
 	// its timelines and latency attribution from a dedicated single
-	// instrumented run (the matrix runs concurrently, which single-clock
-	// sampler/recorder state cannot attach to).
+	// instrumented run (Matrix drops the sampler and the recorder: each
+	// belongs to one run's clock).
 	if (samp != nil || rec != nil) && !*cacheF {
 		sopt := opt
 		sopt.MeasureRemaining = false

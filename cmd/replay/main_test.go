@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"oocnvm/internal/experiment"
 	"oocnvm/internal/nvm"
+	"oocnvm/internal/obs"
 	"oocnvm/internal/obs/export"
 	"oocnvm/internal/ooc"
 	"oocnvm/internal/ssd"
@@ -153,6 +155,45 @@ func TestReplayCacheModeAndPAQ(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), " "+tc.want+"\n") {
 			t.Errorf("%s/%s cache %v paq %d: want bandwidth %s in\n%s", tc.cfg, tc.cell, o.cache, o.paqDepth, tc.want, out.String())
+		}
+	}
+}
+
+// TestReplayPAQProbesAreNotLookups pins that the reordering window's
+// die-availability probes are not map lookups: with -paq as without it,
+// the FTL counts exactly one ftl.map.lookups per media read.
+func TestReplayPAQProbesAreNotLookups(t *testing.T) {
+	cfg, err := experiment.FindConfig("CNL-EXT4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, _, err := experiment.BlockTrace(cfg, nvm.TLC, evalOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeTrace(t, ops)
+	for _, depth := range []int{0, 8} {
+		metrics := filepath.Join(t.TempDir(), "metrics.json")
+		o := options{file: path, cfgName: "CNL-EXT4", cellName: "TLC", qd: 32, seed: 42,
+			paqDepth: depth, exp: export.Flags{MetricsOut: metrics}}
+		if err := run(o, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		counters := map[string]int64{}
+		for _, c := range snap.Counters {
+			counters[c.Name] = c.Value
+		}
+		lookups, reads := counters["ftl.map.lookups"], counters["nvm.reads"]
+		if reads == 0 || lookups != reads {
+			t.Errorf("-paq %d: ftl.map.lookups = %d, nvm.reads = %d; want equal and nonzero", depth, lookups, reads)
 		}
 	}
 }

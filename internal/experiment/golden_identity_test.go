@@ -174,3 +174,64 @@ func TestMatrixWorkerIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperScaleTraceHash pins the Chrome trace of a paper-scale
+// CNL-EXT4/TLC cell, which overflows the tracer's cap: the 2^18 kept spans
+// plus the dropped-events marker, by length and SHA-256. The hash comes
+// from the encoding/json reference writer in internal/obs's tests.
+func TestPaperScaleTraceHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a paper-scale evaluation cell")
+	}
+	opt := DefaultOptions()
+	opt.MeasureRemaining = false
+	opt.Obs = obs.NewCollector()
+	cfg, err := FindConfig("CNL-EXT4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(cfg, nvm.TLC, opt); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := opt.Obs.Tr.WriteChromeJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if kept, dropped := opt.Obs.Tr.Len(), opt.Obs.Tr.Dropped(); kept != 262_144 || dropped != 805_560 {
+		t.Errorf("kept %d spans and dropped %d, want 262144 and 805560", kept, dropped)
+	}
+	const wantLen, wantHash = 29_154_449, "225e8bcbaf21de756806812bf56bb0782acb14ba7532c8591d065e0f8342e5c4"
+	if b.Len() != wantLen || hashHex(b.Bytes()) != wantHash {
+		t.Errorf("paper-scale trace is %d bytes with SHA-256 %s, want %d bytes with %s",
+			b.Len(), hashHex(b.Bytes()), wantLen, wantHash)
+	}
+}
+
+// TestTracedMatrixRepeatable pins that a matrix with a shared tracer writes
+// the same trace on every run whatever Workers says: concurrent cells would
+// race for the span cap and tie on shared track names.
+func TestTracedMatrixRepeatable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the traced matrix twice")
+	}
+	configs := FileSystemConfigs()[:3]
+	cells := []nvm.CellType{nvm.TLC, nvm.PCM}
+	var traces [2][]byte
+	for i := range traces {
+		opt := TestOptions()
+		opt.Obs = obs.NewCollector()
+		opt.Workers = 4
+		if _, err := Matrix(configs, cells, opt); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := opt.Obs.Tr.WriteChromeJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = b.Bytes()
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Errorf("two traced matrix runs wrote different traces: SHA-256 %s and %s",
+			hashHex(traces[0]), hashHex(traces[1]))
+	}
+}

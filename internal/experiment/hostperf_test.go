@@ -2,11 +2,16 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"oocnvm/internal/nvm"
+	"oocnvm/internal/obs"
+	"oocnvm/internal/obs/attrib"
 	"oocnvm/internal/obs/hostperf"
+	"oocnvm/internal/obs/timeseries"
+	"oocnvm/internal/sim"
 )
 
 // TestCellAllocCeiling pins the heap objects one whole evaluation cell
@@ -16,31 +21,50 @@ import (
 // over the ION link. The steady-state AllocsPerRun pins catch a single new
 // allocation on one hot path; these ceilings catch growth anywhere else in a
 // cell. Find the culprit with -memprofile. The rows run serially because
-// runtime.MemStats counts the whole process.
+// runtime.MemStats counts the whole process. The observed row attaches what
+// replay -attrib -report-out -trace-out attaches (a collector, a recorder
+// and a 100 µs sampler) and counts the Chrome trace write as well.
 func TestCellAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ceiling runs a full evaluation cell")
 	}
-	opt := TestOptions()
-	opt.MeasureRemaining = false
 	for _, tc := range []struct {
-		config  string
-		cell    nvm.CellType
-		ceiling uint64 // measured counts in comments
+		config   string
+		cell     nvm.CellType
+		observed bool
+		ceiling  uint64 // measured counts in comments
 	}{
-		{"CNL-EXT4", nvm.TLC, 20_000}, // ~4.7k
-		{"CNL-UFS", nvm.PCM, 2_850},   // ~1.9k
-		{"ION-GPFS", nvm.TLC, 6_950},  // ~4.7k
+		{"CNL-EXT4", nvm.TLC, false, 20_000}, // ~4.7k
+		{"CNL-UFS", nvm.PCM, false, 2_850},   // ~1.9k
+		{"ION-GPFS", nvm.TLC, false, 6_950},  // ~4.7k
+		{"CNL-EXT4", nvm.TLC, true, 14_000},  // ~9.4k
 	} {
-		t.Run(tc.config+"/"+tc.cell.String(), func(t *testing.T) {
+		name := tc.config + "/" + tc.cell.String()
+		if tc.observed {
+			name += "/observed"
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg, err := FindConfig(tc.config)
 			if err != nil {
 				t.Fatal(err)
+			}
+			opt := TestOptions()
+			opt.MeasureRemaining = false
+			if tc.observed {
+				opt.Obs = obs.NewCollector()
+				opt.Attrib = attrib.NewRecorder(16)
+				opt.Attrib.BindRegistry(opt.Obs.Reg)
+				opt.Sampler = timeseries.NewSampler(100*sim.Microsecond, 0)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if _, err := Run(cfg, tc.cell, opt); err != nil {
 				t.Fatal(err)
+			}
+			if tc.observed {
+				if err := opt.Obs.Tr.WriteChromeJSON(io.Discard); err != nil {
+					t.Fatal(err)
+				}
 			}
 			runtime.ReadMemStats(&after)
 			got := after.Mallocs - before.Mallocs

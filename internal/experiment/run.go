@@ -29,8 +29,11 @@ type Options struct {
 	MeasureRemaining bool
 	// Obs, when non-nil, collects metrics and trace spans from the achieved
 	// run (the infinite-host-path remeasurement is never probed, so its
-	// synthetic traffic cannot pollute the numbers). Safe to share across
-	// Matrix's concurrent runs.
+	// synthetic traffic cannot pollute the numbers). Its metrics are safe
+	// to share across concurrent runs, but its tracer is not: concurrent
+	// cells would race for the span cap and tie on shared track names, so
+	// the kept spans would change from run to run. Matrix therefore runs
+	// its cells one at a time when Obs has a tracer.
 	Obs *obs.Collector
 	// Fault is the reliability profile injected into the achieved run (the
 	// media-capable remeasurement stays fault-free so "bandwidth remaining"
@@ -242,9 +245,10 @@ func Matrix(configs []Config, cells []nvm.CellType, opt Options) ([]Measurement,
 	}
 	// Host-perf phases are deltas of process-wide counters; running cells
 	// one at a time keeps every phase's resource delta attributable to
-	// exactly one cell. Results are unchanged (each cell is deterministic
-	// and independent).
-	if opt.Host != nil {
+	// exactly one cell. A shared tracer keeps the first spans it is handed
+	// and orders ties by arrival, so a traced matrix runs serially too.
+	// Results are unchanged (each cell is deterministic and independent).
+	if opt.Host != nil || (opt.Obs != nil && opt.Obs.Tr != nil) {
 		workers = 1
 	}
 	for w := 0; w < workers; w++ {

@@ -123,8 +123,35 @@ func (f *profileFS) journalBase() int64 {
 	return f.capacity - f.capacity/64
 }
 
+// maxOps bounds how many block ops Transform emits for ops, so the output
+// is allocated once instead of regrown (and copied) as it fills.
+func (f *profileFS) maxOps(ops []trace.PosixOp) int {
+	var chunks, bytes int64
+	for _, op := range ops {
+		start := op.Offset - op.Offset%f.p.BlockSize
+		end := op.Offset + op.Size
+		if rem := end % f.p.BlockSize; rem != 0 {
+			end += f.p.BlockSize - rem
+		}
+		if end > start {
+			chunks += (end - start + f.p.MaxRequest - 1) / f.p.MaxRequest
+			bytes += end - start
+		}
+	}
+	// At most one metadata read and one journal write follow each chunk,
+	// and each consumes its interval's worth of data bytes.
+	n := chunks
+	if f.p.MetaBytes > 0 {
+		n += min(chunks, bytes/f.p.MetaBytes)
+	}
+	if f.p.JournalBytes > 0 {
+		n += min(chunks, bytes/f.p.JournalBytes)
+	}
+	return int(n)
+}
+
 func (f *profileFS) Transform(ops []trace.PosixOp) []trace.BlockOp {
-	var out []trace.BlockOp
+	out := make([]trace.BlockOp, 0, f.maxOps(ops))
 	var sinceMeta, sinceJournal int64
 	for _, op := range ops {
 		outBefore := len(out)

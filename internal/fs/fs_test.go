@@ -238,3 +238,32 @@ func MustNew(p Profile, capacity int64, seed uint64) FileSystem {
 	}
 	return f
 }
+
+// Property: Transform allocates its output once. maxOps bounds every op the
+// transform emits, so append never regrows the slice and the capacity is the
+// bound itself.
+func TestTransformAllocatesOnce(t *testing.T) {
+	type bounded interface {
+		FileSystem
+		maxOps([]trace.PosixOp) int
+	}
+	profiles := LocalProfiles()
+	fn := func(offs, sizes [4]uint32, which uint8) bool {
+		var in []trace.PosixOp
+		for i := range offs {
+			in = append(in, posixRead(int64(offs[i])%(testCapacity/2), int64(sizes[i]%(8<<20))))
+		}
+		var f FileSystem
+		if i := int(which) % (len(profiles) + 1); i < len(profiles) {
+			f = MustNew(profiles[i], testCapacity, 7)
+		} else {
+			f, _ = NewGPFS(DefaultGPFS(), testCapacity, 7)
+		}
+		bound := f.(bounded).maxOps(in)
+		out := f.Transform(in)
+		return len(out) <= bound && cap(out) == bound
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

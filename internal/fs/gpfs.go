@@ -86,6 +86,25 @@ func (g *gpfs) ReadAhead() int64 {
 	return DefaultReadAhead
 }
 
+// maxOps bounds how many block ops Transform emits for ops, so the output
+// is allocated once instead of regrown (and copied) as it fills.
+func (g *gpfs) maxOps(ops []trace.PosixOp) int {
+	var frags int64
+	for _, op := range ops {
+		start := op.Offset - op.Offset%g.cfg.FragmentSize
+		if end := op.Offset + op.Size; end > start {
+			frags += (end - start + g.cfg.FragmentSize - 1) / g.cfg.FragmentSize
+		}
+	}
+	// At most one token round follows each fragment, and each consumes
+	// TokenBytes of fragments.
+	n := frags
+	if g.cfg.TokenBytes > 0 {
+		n += min(frags, frags*g.cfg.FragmentSize/g.cfg.TokenBytes)
+	}
+	return int(n)
+}
+
 // Transform stripes the POSIX stream and emits this SSD's share of the
 // fragments. Each stripe unit is relocated to an independent position (GPFS
 // places blocks round-robin over NSDs with its own allocation map, so
@@ -94,7 +113,7 @@ func (g *gpfs) ReadAhead() int64 {
 // with other clients' traffic — i.e., with their device-local adjacency
 // broken. This is the "randomizing trend" of §4.2.
 func (g *gpfs) Transform(ops []trace.PosixOp) []trace.BlockOp {
-	var out []trace.BlockOp
+	out := make([]trace.BlockOp, 0, g.maxOps(ops))
 	var sinceToken int64
 	frags := g.capacity / g.cfg.FragmentSize
 	for _, op := range ops {

@@ -66,7 +66,10 @@ type FTL struct {
 	readOnly error
 
 	probe obs.Probe
-	tap   nvm.MappingTap
+	// mapc counts map lookups, nil unless a collecting probe is attached.
+	// A lookup runs once per page, so it holds counter handles.
+	mapc *mapCounters
+	tap  nvm.MappingTap
 
 	// opPool, when the drive attaches one, recycles the page-op slices the
 	// host-facing translations (Read/Write/Erase) return. opRef is the live
@@ -105,7 +108,33 @@ func (f *FTL) ReleaseOps(ops []nvm.PageOp) {
 
 // SetProbe attaches an observability probe: map-lookup and GC counters, and
 // the erase-amplification inputs (host vs NAND writes, relocations).
-func (f *FTL) SetProbe(p obs.Probe) { f.probe = obs.OrNop(p) }
+func (f *FTL) SetProbe(p obs.Probe) {
+	f.probe = obs.OrNop(p)
+	f.mapc = nil
+	if f.probe.Enabled() {
+		f.mapc = &mapCounters{probe: f.probe}
+	}
+}
+
+// mapCounters counts ftl.map.lookups and ftl.map.remapped. Each handle is
+// bound at its first count, so a metric appears once it is counted.
+type mapCounters struct {
+	probe             obs.Probe
+	lookups, remapped *obs.Counter
+}
+
+func (c *mapCounters) count(remapped bool) {
+	if c.lookups == nil {
+		c.lookups = c.probe.Counter("ftl.map.lookups")
+	}
+	c.lookups.Inc()
+	if remapped {
+		if c.remapped == nil {
+			c.remapped = c.probe.Counter("ftl.map.remapped")
+		}
+		c.remapped.Inc()
+	}
+}
 
 // SetMappingTap attaches a conformance tap observing every placement,
 // lookup and trim this FTL performs. Nil detaches.
@@ -150,9 +179,11 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 	}
 	f.spb = f.rowsz * f.ppb
 	f.sb = make([]superblock, f.super)
+	// Equal wear in ascending id order is already a heap.
+	f.freeHeap = make(wearHeap, f.super)
 	for i := range f.sb {
 		f.sb[i].free = true
-		heap.Push(&f.freeHeap, wearEntry{id: int64(i), wear: 0})
+		f.freeHeap[i] = wearEntry{id: int64(i)}
 	}
 	if cfg.Durable.Enabled {
 		d := cfg.Durable
@@ -214,9 +245,10 @@ func (f *FTL) Preload(bytes int64) error {
 			continue
 		}
 		if f.sb[i].free {
-			heap.Push(&f.freeHeap, wearEntry{id: i, wear: f.sb[i].wear})
+			f.freeHeap = append(f.freeHeap, wearEntry{id: i, wear: f.sb[i].wear})
 		}
 	}
+	heap.Init(&f.freeHeap)
 	f.preloaded = supers
 	if f.dur != nil {
 		// The identity-mapped dataset is durable content: version 0 pages
@@ -236,12 +268,20 @@ func (f *FTL) Preload(bytes int64) error {
 
 // lookup returns the physical page currently holding lpn.
 func (f *FTL) lookup(lpn int64) int64 {
-	f.probe.Count("ftl.map.lookups", 1)
-	if ppn, ok := f.l2p[lpn]; ok {
-		f.probe.Count("ftl.map.remapped", 1)
-		return ppn
+	ppn, remapped := f.physical(lpn)
+	if f.mapc != nil {
+		f.mapc.count(remapped)
 	}
-	return lpn // identity: preloaded layout
+	return ppn
+}
+
+// physical returns the physical page holding lpn, counting nothing, and
+// whether the map overrides the identity (preloaded) layout for it.
+func (f *FTL) physical(lpn int64) (int64, bool) {
+	if ppn, ok := f.l2p[lpn]; ok {
+		return ppn, true
+	}
+	return lpn, false
 }
 
 // Read translates a byte-addressed read into page operations.
@@ -260,6 +300,22 @@ func (f *FTL) Read(offset, size int64) []nvm.PageOp {
 		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(ppn), PPN: ppn})
 	}
 	return ops
+}
+
+// Locations appends to dst the die locations Read would use for the range,
+// without Read's side effects: it counts no lookup, taps nothing and
+// borrows no pooled slice.
+func (f *FTL) Locations(offset, size int64, dst []nvm.Location) []nvm.Location {
+	if size <= 0 {
+		return dst
+	}
+	first := offset / f.cell.PageSize
+	last := (offset + size - 1) / f.cell.PageSize
+	for lpn := first; lpn <= last; lpn++ {
+		ppn, _ := f.physical(lpn)
+		dst = append(dst, f.Locate(ppn%f.Pages()))
+	}
+	return dst
 }
 
 // Write translates a byte-addressed write into page programs, appending to

@@ -91,9 +91,10 @@ type Line struct {
 	overhead sim.Time
 
 	probe obs.Probe
-	// Metric names are prebuilt at SetProbe time so the transfer hot path
-	// never concatenates strings.
-	busyGauge, bytesCounter, xfersCounter string
+	// Metric handles, bound at the first transfer so the hot path never
+	// names a metric and a link that never transfers registers none.
+	busy         *obs.Gauge
+	bytes, xfers *obs.Counter
 }
 
 // NewLine builds a raw link with the given bandwidth and per-request cost.
@@ -106,9 +107,7 @@ func NewLine(name string, bytesPerSec float64, overhead sim.Time) *Line {
 // link-occupancy sample).
 func (l *Line) SetProbe(p obs.Probe) {
 	l.probe = obs.OrNop(p)
-	l.busyGauge = "interconnect." + l.name + ".busy_ps"
-	l.bytesCounter = "interconnect." + l.name + ".bytes"
-	l.xfersCounter = "interconnect." + l.name + ".transfers"
+	l.busy, l.bytes, l.xfers = nil, nil, nil
 }
 
 // NewPCIeLine builds the link for a PCIe attachment.
@@ -120,10 +119,15 @@ func NewPCIeLine(c PCIeConfig) *Line {
 func (l *Line) Transfer(at sim.Time, n int64) sim.Time {
 	start, end := l.tl.Acquire(at, sim.DurationForBytes(n, l.bps))
 	if l.probe.Enabled() {
+		if l.bytes == nil {
+			l.bytes = l.probe.Counter("interconnect." + l.name + ".bytes")
+			l.xfers = l.probe.Counter("interconnect." + l.name + ".transfers")
+			l.busy = l.probe.Gauge("interconnect." + l.name + ".busy_ps")
+		}
 		l.probe.Span(obs.LayerInterconnect, l.name, "xfer", start, end)
-		l.probe.Count(l.bytesCounter, n)
-		l.probe.Count(l.xfersCounter, 1)
-		l.probe.SetGauge(l.busyGauge, float64(l.tl.Busy()))
+		l.bytes.Add(n)
+		l.xfers.Inc()
+		l.busy.Set(float64(l.tl.Busy()))
 	}
 	return end
 }

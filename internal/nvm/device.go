@@ -147,6 +147,11 @@ type Device struct {
 	// attActGC marks the activation currently executing as all-GC traffic.
 	attActGC bool
 
+	// Trace track names, one per die ("chNN/dieNN", indexed like attGCSvc)
+	// and one per channel bus ("chNN/bus"), built once by SetProbe for a
+	// live probe.
+	dieTracks, busTracks []string
+
 	// The device's work counters and latency histogram live in a private
 	// obs.Registry so Stats is assembled from the registry in one place and
 	// a run-level collector can absorb them for export. The probe receives
@@ -241,6 +246,17 @@ func (d *Device) Registry() *obs.Registry { return d.reg }
 func (d *Device) SetProbe(p obs.Probe) {
 	d.probe = obs.OrNop(p)
 	obs.Instrument(d.link, p)
+	if d.probe.Enabled() && d.busTracks == nil {
+		dpc := d.Geo.DiesPerChannel()
+		d.busTracks = make([]string, d.Geo.Channels)
+		d.dieTracks = make([]string, d.Geo.Channels*dpc)
+		for c := range d.busTracks {
+			d.busTracks[c] = fmt.Sprintf("ch%02d/bus", c)
+			for i := 0; i < dpc; i++ {
+				d.dieTracks[c*dpc+i] = fmt.Sprintf("ch%02d/die%02d", c, i)
+			}
+		}
+	}
 }
 
 // ChannelBusy sums the cumulative booked busy time of every channel bus.
@@ -625,13 +641,11 @@ func (d *Device) execActivation(issue sim.Time, a activation) sim.Time {
 	xfer := d.Bus.TransferTime(d.Cell.PageSize)
 	dieIdx := a.loc.Channel*d.Geo.DiesPerChannel() + a.loc.Die
 
-	// Trace tracks: one "thread" per die and per channel bus. Names are
-	// built only when a live probe will consume the spans.
+	// Trace tracks: one "thread" per die and per channel bus.
 	probing := d.probe.Enabled()
 	var dieTrack, busTrack string
 	if probing {
-		dieTrack = fmt.Sprintf("ch%02d/die%02d", a.loc.Channel, a.loc.Die)
-		busTrack = fmt.Sprintf("ch%02d/bus", a.loc.Channel)
+		dieTrack, busTrack = d.dieTracks[dieIdx], d.busTracks[a.loc.Channel]
 	}
 	attributing := d.att.DeviceActive()
 	// All-GC activations bank their die occupancy so that later host chains

@@ -41,7 +41,10 @@
 // is disabled; internal/ssd guards this with a testing.AllocsPerRun test.
 // Collector bundles a Registry and a Tracer into a working Probe; wire it
 // with SetProbe/Instrument on each layer, or let ssd.Config.Probe fan it
-// out to the device.
+// out to the device. Sites that count once per page hold the handles
+// Probe.Counter and Probe.Gauge return instead of naming the metric on
+// every call; Nop returns nil handles, on which Add, Inc and Set do
+// nothing.
 //
 // # Naming conventions
 //

@@ -88,7 +88,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // grow a dozen dead flags. Register installs it too.
 func (f *Flags) RegisterHost(fs *flag.FlagSet) {
 	fs.BoolVar(&f.HostPerf, "hostperf", false,
-		"print the per-phase host cost (wall, cpu, allocs, GC); one phase per matrix cell (runs cells serially)")
+		"print the per-phase host cost (wall, cpu, allocs, GC)")
 	fs.StringVar(&f.HostPerfOut, "hostperf-out", "",
 		"write the host-performance summary (JSON, or CSV with a .csv suffix)")
 }

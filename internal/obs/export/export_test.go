@@ -285,6 +285,10 @@ func TestRegisterOnSeparateFlagSets(t *testing.T) {
 	if fsC.Lookup("hostperf-out") == nil || fsC.Lookup("trace-out") != nil {
 		t.Fatal("RegisterHost must install exactly the hostperf pair")
 	}
+	// replay, nvmsim and simcheck share this text and have no matrix.
+	if u := fsC.Lookup("hostperf").Usage; strings.Contains(u, "matrix") {
+		t.Errorf("shared -hostperf usage names a matrix: %q", u)
+	}
 }
 
 func TestHostCollectorGating(t *testing.T) {

@@ -35,6 +35,13 @@ type Probe interface {
 	Observe(name string, v sim.Time)
 	// SetGauge records the named gauge's current value.
 	SetGauge(name string, v float64)
+	// Counter returns the named counter's handle for per-page sites,
+	// registering the counter at zero; nil when nothing is collected. Add
+	// and Inc on a nil handle do nothing.
+	Counter(name string) *Counter
+	// Gauge returns the named gauge's handle, registering it; nil when
+	// nothing is collected. Set on a nil handle does nothing.
+	Gauge(name string) *Gauge
 }
 
 // Nop is the default probe: every call is a no-op and allocates nothing.
@@ -54,6 +61,12 @@ func (Nop) Observe(name string, v sim.Time) {}
 
 // SetGauge does nothing.
 func (Nop) SetGauge(name string, v float64) {}
+
+// Counter returns nil.
+func (Nop) Counter(name string) *Counter { return nil }
+
+// Gauge returns nil.
+func (Nop) Gauge(name string) *Gauge { return nil }
 
 // OrNop returns p, or a Nop probe when p is nil, so layers can hold a Probe
 // field that is always safe to call.
@@ -105,6 +118,22 @@ func (c *Collector) SetGauge(name string, v float64) {
 	if c.Reg != nil {
 		c.Reg.Gauge(name).Set(v)
 	}
+}
+
+// Counter returns the registry counter, nil without a registry.
+func (c *Collector) Counter(name string) *Counter {
+	if c.Reg == nil {
+		return nil
+	}
+	return c.Reg.Counter(name)
+}
+
+// Gauge returns the registry gauge, nil without a registry.
+func (c *Collector) Gauge(name string) *Gauge {
+	if c.Reg == nil {
+		return nil
+	}
+	return c.Reg.Gauge(name)
 }
 
 // WriteTraceFile writes the tracer's Chrome trace JSON to path.

@@ -12,17 +12,22 @@ import (
 
 // Counter is a named monotonic (or at least additive) int64. Safe for
 // concurrent use; handles obtained from a Registry may be cached and hit
-// directly on hot paths.
+// directly on hot paths. A nil *Counter (Nop.Counter's handle) counts
+// nothing.
 type Counter struct {
 	name string
 	v    atomic.Int64
 }
 
 // Add accumulates delta.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
+func (c *Counter) Add(delta int64) {
+	if c != nil {
+		c.v.Add(delta)
+	}
+}
 
 // Inc accumulates one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value reads the current total.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -32,14 +37,19 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // span counts) without double-counting across repeated exports.
 func (c *Counter) set(v int64) { c.v.Store(v) }
 
-// Gauge is a named float64 whose last written value wins.
+// Gauge is a named float64 whose last written value wins. A nil *Gauge
+// records nothing.
 type Gauge struct {
 	name string
 	bits atomic.Uint64
 }
 
 // Set records the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value reads the last recorded value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

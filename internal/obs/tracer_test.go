@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"oocnvm/internal/sim"
@@ -134,6 +136,34 @@ func TestTracerLimitCountsDrops(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrentCap records from several goroutines into a capped
+// tracer while another exports it: every span is either stored or counted
+// as dropped, and an export mid-recording reads only complete spans.
+func TestTracerConcurrentCap(t *testing.T) {
+	const writers, each, limit = 4, 3000, 5000
+	tr := NewTracer()
+	tr.SetLimit(limit)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr.Span(LayerNVM, "ch00/die00", "sense", sim.Time(i), sim.Time(i+1), Attr{Key: "w", Value: w})
+			}
+		}()
+	}
+	for tr.Len() < limit {
+		if err := tr.WriteChromeJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if tr.Len() != limit || tr.Dropped() != writers*each-limit {
+		t.Fatalf("len=%d dropped=%d, want %d and %d", tr.Len(), tr.Dropped(), limit, writers*each-limit)
+	}
+}
+
 func TestTracerNegativeDurationClamped(t *testing.T) {
 	tr := NewTracer()
 	tr.Span(LayerSSD, "q", "R", 10, 5)
@@ -172,13 +202,14 @@ func TestEmptyTracerExportsValidJSON(t *testing.T) {
 }
 
 // TestTracerSpanSteadyStateAllocs pins span recording at zero allocations
-// once the span list has grown: each pass truncates the list but keeps its
-// backing array. (Attrs are left off; a caller's variadic attribute slice is
+// once the chunked store has grown: each pass empties the store but keeps
+// its chunks. (Attrs are left off; a caller's variadic attribute slice is
 // the caller's allocation.)
 func TestTracerSpanSteadyStateAllocs(t *testing.T) {
 	tr := NewTracer()
 	allocs := testing.AllocsPerRun(100, func() {
-		tr.spans, tr.dropped = tr.spans[:0], 0
+		tr.n = 0
+		tr.dropped.Store(0)
 		for i := sim.Time(0); i < 256; i++ {
 			tr.Span(LayerNVM, "ch00/die00", "sense", i, i+1)
 		}
@@ -192,5 +223,6 @@ func TestTracerSpanSteadyStateAllocs(t *testing.T) {
 func (t *Tracer) SetLimit(n int) {
 	t.mu.Lock()
 	t.limit = n
+	t.full.Store(n > 0 && t.n >= n)
 	t.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"oocnvm/internal/nvm"
 	"oocnvm/internal/sim"
 	"oocnvm/internal/trace"
 )
@@ -19,6 +20,7 @@ type PAQ struct {
 	ssd     *SSD
 	depth   int
 	pending []trace.BlockOp
+	locs    []nvm.Location // cost's scratch
 }
 
 // NewPAQ wraps the SSD with a reordering window of the given depth.
@@ -84,20 +86,18 @@ func (q *PAQ) dispatchBest() {
 // cost estimates when the request's dies become available: the maximum
 // busy-until horizon over the dies its first pages land on. Sampling the
 // leading pages is enough — they decide when the request can begin. The
-// probe uses the read mapping for every verb because it is side-effect-free
-// in both translators (FTL writes allocate log pages; probing them would
-// mutate the map); log-appended writes have no positional conflict anyway.
+// probe uses the read mapping for every verb (FTL writes allocate log
+// pages; probing them would mutate the map); log-appended writes have no
+// positional conflict anyway. Translator.Locations gives that mapping
+// without a read's side effects, so a probe counts as no map lookup.
 func (q *PAQ) cost(op trace.BlockOp) sim.Time {
-	ops := q.ssd.trans.Read(op.Offset, minInt64(maxInt64(op.Size, 1), 8*q.ssd.trans.PageSize()))
+	q.locs = q.ssd.trans.Locations(op.Offset, minInt64(maxInt64(op.Size, 1), 8*q.ssd.trans.PageSize()), q.locs[:0])
 	var worst sim.Time
-	for _, p := range ops {
-		if f := q.ssd.Dev.DieFreeAt(p.Loc.Channel, p.Loc.Die); f > worst {
+	for _, l := range q.locs {
+		if f := q.ssd.Dev.DieFreeAt(l.Channel, l.Die); f > worst {
 			worst = f
 		}
 	}
-	// The probe borrowed a translation slice like any host read; hand it
-	// back before the real submission needs one.
-	q.ssd.trans.ReleaseOps(ops)
 	return worst
 }
 

@@ -3,7 +3,9 @@ package ssd
 import (
 	"testing"
 
+	"oocnvm/internal/ftl"
 	"oocnvm/internal/nvm"
+	"oocnvm/internal/obs"
 	"oocnvm/internal/sim"
 	"oocnvm/internal/trace"
 )
@@ -150,5 +152,62 @@ func TestPAQWithFTLDoesNotCorruptMapping(t *testing.T) {
 	res := NewPAQ(s, 4).Replay(ops)
 	if res.Stats.Programs != 6 || res.Stats.Reads != 6 {
 		t.Fatalf("programs=%d reads=%d, want 6 and 6", res.Stats.Programs, res.Stats.Reads)
+	}
+}
+
+// countingTap counts the mapping-tap calls a translator makes.
+type countingTap struct{ calls int }
+
+func (c *countingTap) MapWrite(lpn, ppn int64) { c.calls++ }
+func (c *countingTap) MapRead(lpn, ppn int64)  { c.calls++ }
+func (c *countingTap) MapTrim(lpn int64)       { c.calls++ }
+
+// TestLocationsMatchReadWithoutSideEffects pins the contract PAQ's probe
+// relies on: Locations yields exactly the locations Read maps the range to,
+// through remapped pages too, and taps and counts nothing.
+func TestLocationsMatchReadWithoutSideEffects(t *testing.T) {
+	geo := nvm.PaperGeometry()
+	cell := nvm.Params(nvm.SLC)
+	direct := NewDirect(geo, cell)
+	direct.RetireBlock(3) // remaps the block holding page 3
+	f, err := ftl.New(geo, cell, ftl.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Preload(64 * cell.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	f.Write(2*cell.PageSize, 3*cell.PageSize) // remaps pages 2-4
+	col := obs.NewCollector()
+	f.SetProbe(col)
+	for _, tr := range []Translator{direct, f} {
+		tap := &countingTap{}
+		tr.SetMappingTap(tap)
+		for _, r := range [][2]int64{{0, 8 * cell.PageSize}, {cell.PageSize + 1, 1}, {5, 0}} {
+			got := tr.Locations(r[0], r[1], nil)
+			calls := tap.calls
+			ops := tr.Read(r[0], r[1])
+			if tap.calls-calls != len(ops) {
+				t.Fatalf("%T: Read tapped %d times for %d pages", tr, tap.calls-calls, len(ops))
+			}
+			if len(got) != len(ops) {
+				t.Fatalf("%T %v: %d locations, Read maps %d pages", tr, r, len(got), len(ops))
+			}
+			for i := range ops {
+				if got[i] != ops[i].Loc {
+					t.Errorf("%T %v page %d: location %+v, Read maps %+v", tr, r, i, got[i], ops[i].Loc)
+				}
+			}
+			tr.ReleaseOps(ops)
+			tap.calls = 0
+			tr.Locations(r[0], r[1], got[:0])
+			if tap.calls != 0 {
+				t.Errorf("%T: Locations tapped %d times", tr, tap.calls)
+			}
+		}
+	}
+	lookups := col.Reg.Counter("ftl.map.lookups").Value()
+	if want := int64(9); lookups != want {
+		t.Errorf("ftl.map.lookups = %d after Reads of 9 pages, want %d (Locations must count none)", lookups, want)
 	}
 }

@@ -32,6 +32,10 @@ var ErrOutOfRange = errors.New("ssd: request outside device capacity")
 // the FTL under a conventional file system, or UFS's Direct mapping.
 type Translator interface {
 	Read(offset, size int64) []nvm.PageOp
+	// Locations appends to dst the die locations Read would map the range
+	// to, with none of Read's side effects (no counters, no mapping tap,
+	// no pooled slice).
+	Locations(offset, size int64, dst []nvm.Location) []nvm.Location
 	Write(offset, size int64) []nvm.PageOp
 	Erase(offset, size int64) []nvm.PageOp
 	PageSize() int64
@@ -206,6 +210,21 @@ func (d *Direct) mapRange(op nvm.Op, offset, size int64) []nvm.PageOp {
 // Read maps a read through identity striping.
 func (d *Direct) Read(offset, size int64) []nvm.PageOp {
 	return d.mapRange(nvm.OpRead, offset, size)
+}
+
+// Locations appends the die locations Read would use, tapping nothing and
+// borrowing no pooled slice.
+func (d *Direct) Locations(offset, size int64, dst []nvm.Location) []nvm.Location {
+	if size <= 0 {
+		return dst
+	}
+	first := offset / d.Cell.PageSize
+	last := (offset + size - 1) / d.Cell.PageSize
+	total := d.pages()
+	for lpn := first; lpn <= last; lpn++ {
+		dst = append(dst, d.Geo.MapLogical(d.redirect(lpn%total), d.Cell.Planes))
+	}
+	return dst
 }
 
 // Write maps a write through identity striping.
