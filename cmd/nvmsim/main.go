@@ -108,14 +108,19 @@ func run(cellName, busName string, gen, lanes int, bridged bool, pattern, kind s
 	// The hardware is an ad-hoc UFS row: the Direct translator behind the
 	// chosen bus and PCIe attachment, with no file system in front.
 	hw := experiment.Config{Name: fmt.Sprintf("%s, %s", bus.Name, pcie), Kind: experiment.FSUFS, PCIe: pcie, Bus: bus}
-	drive, err := experiment.Assemble(hw, cell, experiment.Options{
+	opt := experiment.Options{
 		Geometry:   geo,
 		QueueDepth: qd,
 		Seed:       seed,
 		Obs:        col,
 		Sampler:    samp,
 		Attrib:     rec,
-	}, windowKiB<<10)
+	}
+	tr, err := experiment.Translator(hw, cell, opt)
+	if err != nil {
+		return err
+	}
+	drive, err := experiment.Assemble(hw, cell, tr, opt, windowKiB<<10)
 	if err != nil {
 		return err
 	}

@@ -139,7 +139,7 @@ func run(o options, w io.Writer) (retErr error) {
 	rec := o.exp.Recorder(col)
 
 	prof.SpareBlocks = o.spares
-	drive, err := experiment.Assemble(cfg, cell, experiment.Options{
+	opt := experiment.Options{
 		Geometry:               nvm.PaperGeometry(),
 		QueueDepth:             o.qd,
 		Seed:                   o.seed,
@@ -150,7 +150,12 @@ func run(o options, w io.Writer) (retErr error) {
 		Sampler:                samp,
 		Attrib:                 rec,
 		DurableCheckpointPages: o.durableCkpt,
-	}, o.windowKiB<<10)
+	}
+	tr, err := experiment.Translator(cfg, cell, opt)
+	if err != nil {
+		return err
+	}
+	drive, err := experiment.Assemble(cfg, cell, tr, opt, o.windowKiB<<10)
 	if err != nil {
 		return err
 	}

@@ -108,11 +108,7 @@ func run(opt options, out io.Writer) error {
 			for i := 0; i < opt.episodes; i++ {
 				sc := check.StackConfig{Config: cfg, Cell: cell, Fault: prof,
 					Seed: opt.seed + uint64(i)}
-				p := check.DefaultParams(sc.Capacity(), nvm.Params(cell).PageSize)
-				if opt.ops > 0 {
-					p.Ops = opt.ops
-				}
-				res, err := check.RunEpisode(sc, p)
+				res, err := check.RunEpisode(sc, opt.params(sc))
 				if err != nil {
 					return fmt.Errorf("%s seed=%d: %w", pair, sc.Seed, err)
 				}
@@ -142,10 +138,7 @@ func run(opt options, out io.Writer) error {
 			for _, cell := range cells {
 				pair := fmt.Sprintf("%s/%v", cfg.Name, cell)
 				sc := check.StackConfig{Config: cfg, Cell: cell, Fault: prof, Seed: opt.seed}
-				p := check.DefaultParams(sc.Capacity(), nvm.Params(cell).PageSize)
-				if opt.ops > 0 {
-					p.Ops = opt.ops
-				}
+				p := opt.params(sc)
 				pairViol := 0
 				for _, m := range []struct {
 					label string
@@ -186,11 +179,7 @@ func run(opt options, out io.Writer) error {
 			for _, cell := range cells {
 				pair := fmt.Sprintf("%s/%v", cfg.Name, cell)
 				sc := check.StackConfig{Config: cfg, Cell: cell, Seed: opt.seed}
-				p := check.DefaultParams(sc.Capacity(), nvm.Params(cell).PageSize)
-				if opt.ops > 0 {
-					p.Ops = opt.ops
-				}
-				res, err := check.CrashSweep(sc, p, opt.crashEvery)
+				res, err := check.CrashSweep(sc, opt.params(sc), opt.crashEvery)
 				if err != nil {
 					endCrash()
 					return fmt.Errorf("%s crash sweep: %w", pair, err)
@@ -227,18 +216,13 @@ func run(opt options, out io.Writer) error {
 	if opt.crashStudy {
 		endStudy := host.Phase("crash study")
 		fmt.Fprintf(out, "\ncheckpoint-interval study (Fig 7a workload + Ψ checkpoints, cut at 75%% of P/E boundaries):\n")
-		cfg := configs[0]
-		if cfg.Kind == experiment.FSUFS {
-			endStudy()
-			return fmt.Errorf("simcheck: -crash-study needs an FTL configuration, %s has none", cfg.Name)
-		}
 		sopt := experiment.TestOptions()
 		// The eigensolver's Fig 7a phase is read-intensive; enable its Ψ
 		// checkpoint writes so the journal and mapping churn are actually
 		// exercised between the cut and the last metadata checkpoint.
 		sopt.Workload.PsiBytes = 2 * sopt.Workload.PanelBytes
 		sopt.Workload.Applications = 4
-		rows, err := check.CrashStudy(cfg, cells[0], sopt,
+		rows, err := check.CrashStudy(configs[0], cells[0], sopt,
 			[]int64{128, 512, 2048, 8192})
 		endStudy()
 		if err != nil {
@@ -285,11 +269,7 @@ func run(opt options, out io.Writer) error {
 			if f.trace == 0 {
 				continue
 			}
-			p := check.DefaultParams(f.sc.Capacity(), nvm.Params(f.sc.Cell).PageSize)
-			if opt.ops > 0 {
-				p.Ops = opt.ops
-			}
-			res, err := check.RunEpisode(f.sc, p)
+			res, err := check.RunEpisode(f.sc, opt.params(f.sc))
 			if err != nil {
 				break
 			}
@@ -303,6 +283,15 @@ func run(opt options, out io.Writer) error {
 		}
 	}
 	return fmt.Errorf("simcheck: %d violations", len(failures))
+}
+
+// params sizes an episode's workload for the stack, honoring -ops.
+func (o options) params(sc check.StackConfig) check.Params {
+	p := check.DefaultParams(sc.Capacity(), nvm.Params(sc.Cell).PageSize)
+	if o.ops > 0 {
+		p.Ops = o.ops
+	}
+	return p
 }
 
 // writeTrace dumps a reproducer trace in the binary block-trace format the

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,6 +51,43 @@ func TestEpisodesCleanAcrossConfigs(t *testing.T) {
 						t.Errorf("%s/%s/%v seed=%d: %d violations, first: %v",
 							name, prof, cell, seed, len(res.Violations), res.Violations[0])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestCheckedStackIsTheFiguresStack replays each episode's trace through
+// the drive experiment.Assemble builds for the same row and options around
+// the unchecked translator, as Run does. The checked episode must report
+// the very same result, field for field: the checker checks the stack the
+// figures run on.
+func TestCheckedStackIsTheFiguresStack(t *testing.T) {
+	for _, name := range []string{"CNL-UFS", "CNL-EXT4", "ION-GPFS"} {
+		cfg := findConfig(t, name)
+		for _, prof := range []string{"none", "worn"} {
+			for _, cell := range []nvm.CellType{nvm.MLC, nvm.TLC} {
+				sc := StackConfig{Config: cfg, Cell: cell, Seed: 1, Fault: profile(t, prof)}
+				checked, err := RunEpisode(sc, DefaultParams(sc.Capacity(), nvm.Params(cell).PageSize))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := sc.options()
+				tr, err := experiment.Translator(cfg, cell, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := experiment.Assemble(cfg, cell, tr, opt, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, err := d.Replay(checked.Trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fmt.Sprintf("%#v", checked.Result), fmt.Sprintf("%#v", plain); got != want {
+					t.Errorf("%s/%s/%v: checked episode's result\n%s\ndiffers from the unchecked drive's\n%s",
+						name, prof, cell, got, want)
 				}
 			}
 		}

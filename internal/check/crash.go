@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"sort"
 
+	"oocnvm/internal/experiment"
 	"oocnvm/internal/fault"
 	"oocnvm/internal/ftl"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs/attrib"
 	"oocnvm/internal/sim"
-	"oocnvm/internal/ssd"
 	"oocnvm/internal/trace"
 )
 
@@ -51,12 +51,21 @@ type CrashResult struct {
 	Violations []Violation
 }
 
-// crashConfig normalizes a stack config for crash episodes: durable
-// metadata on, and the cut plan installed.
-func crashConfig(sc StackConfig, plan fault.CrashPlan) StackConfig {
-	sc.Durable.Enabled = true
-	sc.Crash = &plan
-	return sc
+// crashOptions are the options of the config's crash stack: the FTL's
+// durable metadata on at its default checkpoint interval, and the cut
+// armed.
+func (sc StackConfig) crashOptions(plan fault.CrashPlan) experiment.Options {
+	opt := sc.options()
+	opt.DurableCheckpointPages = ftl.DefaultCheckpointPages(opt.Geometry, nvm.Params(sc.Cell))
+	opt.Crash = &plan
+	return opt
+}
+
+// recoverMedia remounts the media a crash left behind with the durable
+// configuration the options built the FTL with.
+func recoverMedia(cell nvm.CellType, opt experiment.Options, m *ftl.Media) (*ftl.FTL, ftl.RecoveryReport, error) {
+	dc := ftl.DurableConfig{CheckpointEveryPages: opt.DurableCheckpointPages}
+	return ftl.Recover(opt.Geometry, nvm.Params(cell), ftl.Config{Durable: dc}, m)
 }
 
 // CrashReplay drives a trace through a durable checked stack with a power
@@ -75,11 +84,12 @@ func crashConfig(sc StackConfig, plan fault.CrashPlan) StackConfig {
 // surface either the old acked version or the in-flight one (a torn write
 // is allowed to persist or vanish, never to mangle).
 func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (CrashResult, error) {
-	sc = crashConfig(sc, plan)
-	st, err := buildStack(sc)
+	opt := sc.crashOptions(plan)
+	st, err := buildStack(sc, opt)
 	if err != nil {
 		return CrashResult{}, err
 	}
+	inj := st.drive.Fault
 	f, ok := st.checked.Translator.(*ftl.FTL)
 	if !ok {
 		return CrashResult{}, fmt.Errorf("check: crash replay requires an FTL translator (config %v)", sc.Config.Kind)
@@ -98,7 +108,7 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 	}
 	ver := make(map[int64]uint64)
 	for _, op := range ops {
-		if st.inj.Crashed() {
+		if inj.Crashed() {
 			break
 		}
 		first, last := op.Offset/ps, (op.Offset+op.Size-1)/ps
@@ -109,7 +119,7 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 		}
 		end, err := st.drive.Submit(op)
 		out.Elapsed = sim.MaxTime(out.Elapsed, end)
-		crashed := st.inj.Crashed()
+		crashed := inj.Crashed()
 		if err != nil && !crashed {
 			// Fault-free except for the cut: any other error is a stack
 			// defect.
@@ -145,17 +155,15 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 			out.AckedOps++
 		}
 	}
-	out.Crashed = st.inj.Crashed()
-	out.PEOps = st.inj.PEOps()
+	out.Crashed = inj.Crashed()
+	out.PEOps = inj.PEOps()
 	out.Stats = f.Stats()
 	if !out.Crashed {
 		return out, nil
 	}
 
 	// Mount-time recovery from the surviving media.
-	geo := sc.geometry()
-	cell := nvm.Params(sc.Cell)
-	rf, rep, rerr := ftl.Recover(geo, cell, ftl.Config{Durable: sc.Durable}, f.Media())
+	rf, rep, rerr := recoverMedia(sc.Cell, opt, f.Media())
 	out.Report = rep
 	out.RecoverErr = rerr
 	if rerr != nil {
@@ -170,8 +178,13 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 		}
 	}
 	out.State = rf.DumpState()
-	out.Violations = append(out.Violations, checkDurability(rf, shadow, rerr != nil)...)
-	out.Violations = append(out.Violations, exerciseMount(sc, rf, rep, rerr, shadow)...)
+	lpns := make([]int64, 0, len(shadow))
+	for lpn := range shadow {
+		lpns = append(lpns, lpn)
+	}
+	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
+	out.Violations = append(out.Violations, checkDurability(rf, shadow, lpns, rerr != nil)...)
+	out.Violations = append(out.Violations, exerciseMount(sc, rf, rep, rerr, lpns)...)
 	return out, nil
 }
 
@@ -179,14 +192,9 @@ func CrashReplay(sc StackConfig, ops []trace.BlockOp, plan fault.CrashPlan) (Cra
 // history. A read-only salvage mount relaxes clause (1) — acked data may
 // be gone, that is what the typed error announces — but clause (2) still
 // holds: whatever is mapped must be clean, matching media.
-func checkDurability(rf *ftl.FTL, shadow map[int64]*pageShadow, salvaged bool) []Violation {
+func checkDurability(rf *ftl.FTL, shadow map[int64]*pageShadow, lpns []int64, salvaged bool) []Violation {
 	var out []Violation
 	media := rf.Media()
-	lpns := make([]int64, 0, len(shadow))
-	for lpn := range shadow {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
 	for _, lpn := range lpns {
 		sh := shadow[lpn]
 		ppn, gotVer, mapped := rf.Mapping(lpn)
@@ -249,33 +257,22 @@ func checkDurability(rf *ftl.FTL, shadow map[int64]*pageShadow, salvaged bool) [
 	return out
 }
 
-// exerciseMount drives the recovered FTL through a fresh controller: the
-// mount books its recovery time on the Recovery attribution component,
-// reads of every recovered page must succeed, and — on a read-only mount —
-// a write must be rejected with the typed error. The mount recorder's
-// conservation envelope is checked like any other episode's.
-func exerciseMount(sc StackConfig, rf *ftl.FTL, rep ftl.RecoveryReport, rerr error, shadow map[int64]*pageShadow) []Violation {
+// exerciseMount drives the recovered FTL through a fresh, fault-free drive
+// of the same row: the mount books its recovery time on the Recovery
+// attribution component, reads of every recovered page must succeed, and —
+// on a read-only mount — a write must be rejected with the typed error.
+// The mount recorder's conservation envelope is checked like any other
+// episode's.
+func exerciseMount(sc StackConfig, rf *ftl.FTL, rep ftl.RecoveryReport, rerr error, lpns []int64) []Violation {
 	var out []Violation
 	rec := attrib.NewRecorder(0)
-	drive, err := ssd.New(ssd.Config{
-		Geometry:   sc.geometry(),
-		Cell:       nvm.Params(sc.Cell),
-		Bus:        sc.Config.Bus,
-		Link:       sc.Config.BuildLink(),
-		Translator: rf,
-		Seed:       sc.Seed,
-		Attrib:     rec,
-	})
+	drive, err := experiment.Assemble(sc.Config, sc.Cell, rf,
+		experiment.Options{Geometry: sc.geometry(), Seed: sc.Seed, Attrib: rec}, 0)
 	if err != nil {
 		return []Violation{{Kind: "error", Detail: fmt.Sprintf("post-recovery stack build failed: %v", err)}}
 	}
 	drive.Mount(rep.Duration)
 	ps := rf.PageSize()
-	lpns := make([]int64, 0, len(shadow))
-	for lpn := range shadow {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
 	reads := 0
 	for _, lpn := range lpns {
 		if _, _, mapped := rf.Mapping(lpn); !mapped {

@@ -83,21 +83,21 @@ func TestCrashReplayRecoversAckedWrites(t *testing.T) {
 // recovery horizon and requires the typed error plus a read-only salvage
 // mount that still refuses to serve torn pages.
 func TestCrashUnrecoverableMeta(t *testing.T) {
-	sc := crashConfig(StackConfig{Config: findConfig(t, "CNL-EXT4"), Cell: nvm.MLC, Seed: 5},
-		fault.CrashPlan{AfterOps: 60})
-	st, err := buildStack(sc)
+	sc := StackConfig{Config: findConfig(t, "CNL-EXT4"), Cell: nvm.MLC, Seed: 5}
+	opt := sc.crashOptions(fault.CrashPlan{AfterOps: 60})
+	st, err := buildStack(sc, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := st.checked.Translator.(*ftl.FTL)
 	p := crashParams(sc)
 	for _, op := range Generate(p, sim.NewRNG(sc.Seed)) {
-		if st.inj.Crashed() {
+		if st.drive.Fault.Crashed() {
 			break
 		}
 		st.drive.Submit(op)
 	}
-	if !st.inj.Crashed() {
+	if !st.drive.Fault.Crashed() {
 		t.Fatal("crash plan never fired")
 	}
 	m := f.Media()
@@ -107,7 +107,7 @@ func TestCrashUnrecoverableMeta(t *testing.T) {
 	if !m.CorruptMeta(m.MetaPages() - 1) {
 		t.Fatal("could not corrupt newest metadata page")
 	}
-	rf, rep, rerr := ftl.Recover(sc.geometry(), nvm.Params(sc.Cell), ftl.Config{Durable: sc.Durable}, m)
+	rf, rep, rerr := recoverMedia(sc.Cell, opt, m)
 	if !errors.Is(rerr, ftl.ErrUnrecoverableMeta) {
 		t.Fatalf("recover returned %v, want ErrUnrecoverableMeta", rerr)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"oocnvm/internal/experiment"
 	"oocnvm/internal/fault"
-	"oocnvm/internal/ftl"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/obs/attrib"
 	"oocnvm/internal/sim"
@@ -15,7 +14,9 @@ import (
 
 // StackConfig describes one checked stack: a Table 2 experiment row (which
 // fixes the translator kind, host interconnect and NVM bus), a cell type, a
-// device geometry, and an optional fault profile.
+// device geometry, and an optional fault profile. The stack is the drive
+// experiment.Assemble builds for them around the row's translator, wrapped
+// in Checked.
 type StackConfig struct {
 	Config   experiment.Config
 	Cell     nvm.CellType
@@ -25,11 +26,6 @@ type StackConfig struct {
 	// Flip, when set, is installed as the Checked wrapper's FlipOffset
 	// test hook (an intentionally injected translation defect).
 	Flip func(int64) int64
-	// Durable enables the FTL's durable-metadata model (journal +
-	// checkpoints + OOB tags). Required for crash episodes.
-	Durable ftl.DurableConfig
-	// Crash, when set, arms a deterministic power cut on the injector.
-	Crash *fault.CrashPlan
 }
 
 // SmallGeometry is the episode device: large enough to exercise striping,
@@ -46,67 +42,39 @@ func (sc StackConfig) geometry() nvm.Geometry {
 	return sc.Geometry
 }
 
+// options are the Assemble options of the config's checked stack.
+func (sc StackConfig) options() experiment.Options {
+	return experiment.Options{Geometry: sc.geometry(), QueueDepth: ssd.DefaultQueueDepth, Seed: sc.Seed, Fault: sc.Fault}
+}
+
 // stack bundles one assembled checked drive with everything an episode (or
 // a crash replay) needs to interrogate afterwards.
 type stack struct {
-	drive   *ssd.SSD
+	drive   *experiment.Drive
 	checked *Checked
 	env     Envelope
 	rec     *attrib.Recorder
-	inj     *fault.Injector
 }
 
-// buildStack assembles the checked drive for the config. The returned
-// Checked wrapper carries the oracle; the envelope is derived from the same
-// configuration the stack was built from. Every checked stack also carries
-// a latency-attribution recorder so each episode exercises the attribution
-// conservation envelope alongside the oracle.
-func buildStack(sc StackConfig) (stack, error) {
-	geo := sc.geometry()
-	cell := nvm.Params(sc.Cell)
-
-	var inner ssd.Translator
-	if sc.Config.Kind == experiment.FSUFS {
-		inner = ssd.NewDirect(geo, cell)
-	} else {
-		f, err := ftl.New(geo, cell, ftl.Config{Durable: sc.Durable})
-		if err != nil {
-			return stack{}, err
-		}
-		inner = f
-	}
-	checked := Wrap(inner, sc.Seed)
-	checked.FlipOffset = sc.Flip
-
-	var inj *fault.Injector
-	if sc.Fault.Enabled() || sc.Crash != nil {
-		var err error
-		inj, err = fault.New(nvm.FaultConfig(geo, cell, sc.Fault, sc.Seed))
-		if err != nil {
-			return stack{}, err
-		}
-		if sc.Crash != nil {
-			inj.ArmCrash(*sc.Crash)
-		}
-	}
-
-	rec := attrib.NewRecorder(0)
-	link := sc.Config.BuildLink()
-	drive, err := ssd.New(ssd.Config{
-		Geometry:   geo,
-		Cell:       cell,
-		Bus:        sc.Config.Bus,
-		Link:       link,
-		Translator: checked,
-		QueueDepth: ssd.DefaultQueueDepth,
-		Seed:       sc.Seed,
-		Fault:      inj,
-		Attrib:     rec,
-	})
+// buildStack assembles the checked drive for the config under opt: the
+// row's translator wrapped in Checked, which carries the oracle, and the
+// envelope derived from the same configuration. Every checked stack also
+// carries a latency-attribution recorder so each episode exercises the
+// attribution conservation envelope alongside the oracle.
+func buildStack(sc StackConfig, opt experiment.Options) (stack, error) {
+	tr, err := experiment.Translator(sc.Config, sc.Cell, opt)
 	if err != nil {
 		return stack{}, err
 	}
-	return stack{drive: drive, checked: checked, env: NewEnvelope(geo, cell, sc.Config.Bus, link), rec: rec, inj: inj}, nil
+	checked := Wrap(tr, sc.Seed)
+	checked.FlipOffset = sc.Flip
+	opt.Attrib = attrib.NewRecorder(0)
+	drive, err := experiment.Assemble(sc.Config, sc.Cell, checked, opt, 0)
+	if err != nil {
+		return stack{}, err
+	}
+	env := NewEnvelope(opt.Geometry, nvm.Params(sc.Cell), sc.Config.Bus, sc.Config.BuildLink())
+	return stack{drive: drive, checked: checked, env: env, rec: opt.Attrib}, nil
 }
 
 // Capacity reports the stack's device capacity in bytes (for sizing
@@ -139,12 +107,13 @@ func RunEpisode(sc StackConfig, p Params) (EpisodeResult, error) {
 // is the primitive both RunEpisode and the shrinker use: building a new
 // stack per attempt keeps every replay independent and deterministic.
 func Replay(sc StackConfig, ops []trace.BlockOp) (EpisodeResult, error) {
-	st, err := buildStack(sc)
+	st, err := buildStack(sc, sc.options())
 	if err != nil {
 		return EpisodeResult{}, err
 	}
-	drive := st.drive
-	res := drive.Replay(ops)
+	// The SSD's Replay, not the Drive's close-out: a fault-free drive's
+	// error is reported below as a violation, beside the result it gave.
+	res := st.drive.SSD.Replay(ops)
 
 	out := EpisodeResult{Trace: ops, Result: res, Attrib: st.rec.Summary()}
 	out.Violations = append(out.Violations, st.checked.Oracle().Violations()...)
@@ -152,7 +121,7 @@ func Replay(sc StackConfig, ops []trace.BlockOp) (EpisodeResult, error) {
 	out.Violations = append(out.Violations, CheckAttribution(out.Attrib)...)
 	// Fault-free stacks must not error: the generator never leaves the
 	// device, so any surfaced error is the stack's own defect.
-	if err := drive.Err(); err != nil && !sc.Fault.Enabled() {
+	if err := st.drive.Err(); err != nil && !sc.Fault.Enabled() {
 		out.Violations = append(out.Violations,
 			Violation{Kind: "error", Detail: fmt.Sprintf("fault-free replay surfaced %v", err)})
 	}

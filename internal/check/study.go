@@ -10,7 +10,6 @@ import (
 	"oocnvm/internal/ftl"
 	"oocnvm/internal/nvm"
 	"oocnvm/internal/sim"
-	"oocnvm/internal/ssd"
 	"oocnvm/internal/trace"
 )
 
@@ -39,42 +38,27 @@ type StudyRow struct {
 	Checkpoints int64
 }
 
-// studyReplay drives the trace through a durable FTL stack, cutting power
-// at the given program/erase boundary (0 = never, count-only), and
-// returns the pre-crash stats, the boundary count, and — when the cut
-// fired — the recovery report.
+// studyReplay drives the trace through the drive opt assembles for the
+// configuration, cutting power at the given program/erase boundary (0 =
+// never, count-only), and returns the pre-crash stats, the boundary count,
+// and — when the cut fired — the recovery report.
 func studyReplay(cfg experiment.Config, cell nvm.CellType, opt experiment.Options,
-	ops []trace.BlockOp, window int64, ckptEvery int64, cutAt int64) (ftl.Stats, int64, ftl.RecoveryReport, error) {
+	ops []trace.BlockOp, window int64, cutAt int64) (ftl.Stats, int64, ftl.RecoveryReport, error) {
 
-	cp := nvm.Params(cell)
-	f, err := ftl.New(opt.Geometry, cp, ftl.Config{
-		Durable: ftl.DurableConfig{Enabled: true, CheckpointEveryPages: ckptEvery},
-	})
+	opt.Crash = &fault.CrashPlan{AfterOps: cutAt}
+	tr, err := experiment.Translator(cfg, cell, opt)
 	if err != nil {
 		return ftl.Stats{}, 0, ftl.RecoveryReport{}, err
 	}
-	if err := f.Preload(opt.Workload.MatrixBytes); err != nil {
-		return ftl.Stats{}, 0, ftl.RecoveryReport{}, err
+	f, ok := tr.(*ftl.FTL)
+	if !ok {
+		return ftl.Stats{}, 0, ftl.RecoveryReport{}, fmt.Errorf("check: crash study needs an FTL configuration, %s has none", cfg.Name)
 	}
-	inj, err := fault.New(nvm.FaultConfig(opt.Geometry, cp, fault.Profile{}, opt.Seed))
+	drive, err := experiment.Assemble(cfg, cell, tr, opt, window)
 	if err != nil {
 		return ftl.Stats{}, 0, ftl.RecoveryReport{}, err
 	}
-	inj.ArmCrash(fault.CrashPlan{AfterOps: cutAt})
-	drive, err := ssd.New(ssd.Config{
-		Geometry:    opt.Geometry,
-		Cell:        cp,
-		Bus:         cfg.Bus,
-		Link:        cfg.BuildLink(),
-		Translator:  f,
-		QueueDepth:  opt.QueueDepth,
-		WindowBytes: window,
-		Seed:        opt.Seed,
-		Fault:       inj,
-	})
-	if err != nil {
-		return ftl.Stats{}, 0, ftl.RecoveryReport{}, err
-	}
+	inj := drive.Fault
 	for _, op := range ops {
 		if inj.Crashed() {
 			break
@@ -85,20 +69,19 @@ func studyReplay(cfg experiment.Config, cell nvm.CellType, opt experiment.Option
 	if !inj.Crashed() {
 		return stats, inj.PEOps(), ftl.RecoveryReport{}, nil
 	}
-	_, rep, rerr := ftl.Recover(opt.Geometry, cp, ftl.Config{
-		Durable: ftl.DurableConfig{Enabled: true, CheckpointEveryPages: ckptEvery},
-	}, f.Media())
+	_, rep, rerr := recoverMedia(cell, opt, f.Media())
 	if rerr != nil {
-		return stats, inj.PEOps(), rep, fmt.Errorf("study recovery at ckpt=%d cut=%d: %w", ckptEvery, cutAt, rerr)
+		return stats, inj.PEOps(), rep, fmt.Errorf("study recovery at ckpt=%d cut=%d: %w", opt.DurableCheckpointPages, cutAt, rerr)
 	}
 	return stats, inj.PEOps(), rep, nil
 }
 
 // CrashStudy measures the checkpoint-interval trade-off on the Figure 7a
 // out-of-core workload: for each interval it replays the workload's block
-// trace through a durable FTL, cuts power at 75% of the run's
-// program/erase boundaries, recovers, and reports journal write
-// amplification against mount-time recovery cost.
+// trace through the drive opt assembles for the configuration, with
+// durable metadata on, cuts power at 75% of the run's program/erase
+// boundaries, recovers, and reports journal write amplification against
+// mount-time recovery cost.
 func CrashStudy(cfg experiment.Config, cell nvm.CellType, opt experiment.Options, intervals []int64) ([]StudyRow, error) {
 	ops, window, err := experiment.BlockTrace(cfg, cell, opt)
 	if err != nil {
@@ -106,7 +89,13 @@ func CrashStudy(cfg experiment.Config, cell nvm.CellType, opt experiment.Options
 	}
 	rows := make([]StudyRow, 0, len(intervals))
 	for _, every := range intervals {
-		_, total, _, err := studyReplay(cfg, cell, opt, ops, window, every, 0)
+		// A zero interval is the FTL's default; in Options it would turn
+		// the durable model off.
+		opt.DurableCheckpointPages = every
+		if every == 0 {
+			opt.DurableCheckpointPages = ftl.DefaultCheckpointPages(opt.Geometry, nvm.Params(cell))
+		}
+		_, total, _, err := studyReplay(cfg, cell, opt, ops, window, 0)
 		if err != nil {
 			return rows, err
 		}
@@ -117,7 +106,7 @@ func CrashStudy(cfg experiment.Config, cell nvm.CellType, opt experiment.Options
 		if cut == 0 {
 			cut = 1
 		}
-		stats, _, rep, err := studyReplay(cfg, cell, opt, ops, window, every, cut)
+		stats, _, rep, err := studyReplay(cfg, cell, opt, ops, window, cut)
 		if err != nil {
 			return rows, err
 		}

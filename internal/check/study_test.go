@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oocnvm/internal/experiment"
+	"oocnvm/internal/ftl"
 	"oocnvm/internal/nvm"
 )
 
@@ -48,5 +49,42 @@ func TestCrashStudy(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 	if len(lines) != 1+len(rows) || !strings.HasPrefix(lines[0], "ckpt-every") {
 		t.Errorf("WriteStudy printed %d lines, want a header and %d rows:\n%s", len(lines), len(rows), out.String())
+	}
+}
+
+// TestCrashStudyZeroIntervalIsFTLDefault pins StudyRow's zero interval to
+// the FTL's default checkpoint interval, durable metadata and all: the row
+// equals the one the default's value yields in every field but the interval
+// it names.
+func TestCrashStudyZeroIntervalIsFTLDefault(t *testing.T) {
+	opt := experiment.TestOptions()
+	opt.Workload.PsiBytes = 2 * opt.Workload.PanelBytes
+	opt.Workload.Applications = 4
+	def := ftl.DefaultCheckpointPages(opt.Geometry, nvm.Params(nvm.MLC))
+	rows, err := CrashStudy(findConfig(t, "CNL-EXT4"), nvm.MLC, opt, []int64{0, def})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, named := rows[0], rows[1]
+	if zero.CheckpointEvery != 0 || named.CheckpointEvery != def {
+		t.Fatalf("rows name intervals %d and %d, want 0 and %d", zero.CheckpointEvery, named.CheckpointEvery, def)
+	}
+	if named.JournalPages == 0 || named.MTTR <= 0 {
+		t.Errorf("default-interval row %+v journaled nothing or recovered for free", named)
+	}
+	zero.CheckpointEvery = def
+	if zero != named {
+		t.Errorf("zero-interval row\n%+v\ndiffers from the default-interval row\n%+v", zero, named)
+	}
+}
+
+// TestCrashStudyNeedsFTL pins that a UFS row, whose Direct translator keeps
+// no mapping metadata to crash and recover, fails the study instead of
+// measuring an FTL the row does not have.
+func TestCrashStudyNeedsFTL(t *testing.T) {
+	opt := experiment.TestOptions()
+	if _, err := CrashStudy(findConfig(t, "CNL-UFS"), nvm.MLC, opt, []int64{128}); err == nil ||
+		!strings.Contains(err.Error(), "needs an FTL") {
+		t.Fatalf("study on CNL-UFS returned %v, want an error naming the missing FTL", err)
 	}
 }

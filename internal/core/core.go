@@ -69,7 +69,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	hw := experiment.Config{Name: "node", Kind: experiment.FSUFS, PCIe: cfg.PCIe, Bus: cfg.Bus}
-	drive, err := experiment.Assemble(hw, cfg.Cell, experiment.Options{Geometry: cfg.Geometry}, 0)
+	opt := experiment.Options{Geometry: cfg.Geometry}
+	tr, err := experiment.Translator(hw, cfg.Cell, opt)
+	if err != nil {
+		return nil, err
+	}
+	drive, err := experiment.Assemble(hw, cfg.Cell, tr, opt, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,11 @@ func TestReplayFailsFaultFreeDriveErrors(t *testing.T) {
 	}
 	replayOn := func(opt Options, ops []trace.BlockOp) (*Drive, ssd.Result, error) {
 		t.Helper()
-		d, err := Assemble(cfg, nvm.TLC, opt, 0)
+		tr, err := Translator(cfg, nvm.TLC, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Assemble(cfg, nvm.TLC, tr, opt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +82,11 @@ func wornWriteGC(t testing.TB, seed uint64, bpp int) (*Drive, ssd.Result, []erro
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Assemble(cfg, nvm.TLC, opt, window)
+	tr, err := Translator(cfg, nvm.TLC, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Assemble(cfg, nvm.TLC, tr, opt, window)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,11 @@ type Options struct {
 	// checkpoint every N host-written pages. Zero leaves the model off, so
 	// existing runs and their reports are byte-identical.
 	DurableCheckpointPages int64
+	// Crash, when non-nil, arms a deterministic power cut on the achieved
+	// run's fault injector, which the drive then gets even under a profile
+	// that injects nothing. The zero plan never fires but counts the run's
+	// program/erase boundaries.
+	Crash *fault.CrashPlan
 	// Host, when non-nil, records each evaluation cell as one host-perf
 	// phase (wall time, CPU, allocations, GC). This is a measurement mode:
 	// phase deltas read process-wide counters, so Matrix runs its cells one
@@ -129,7 +134,7 @@ func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
 	if opt.Host != nil {
 		defer opt.Host.Phase(fmt.Sprintf("cell %s/%s", cfg.Name, cell))()
 	}
-	blockOps, window, err := blockTrace(cfg, cell, opt)
+	blockOps, window, err := BlockTrace(cfg, cell, opt)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -144,7 +149,7 @@ func Run(cfg Config, cell nvm.CellType, opt Options) (Measurement, error) {
 		// "bandwidth remaining" to injected errors.
 		bare := opt
 		bare.Obs, bare.Sampler, bare.Attrib = nil, nil, nil
-		bare.Fault, bare.RetentionDays, bare.PrecyclePE = fault.Profile{}, 0, 0
+		bare.Fault, bare.RetentionDays, bare.PrecyclePE, bare.Crash = fault.Profile{}, 0, 0, nil
 		capable, err := replay(cfg, cell, bare, blockOps, window, interconnect.Infinite{})
 		if err != nil {
 			return Measurement{}, err
@@ -175,17 +180,11 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// BlockTrace exposes the device-level trace a configuration's software
-// stack emits for the workload (with its in-flight window), so external
-// studies — like the crash-point MTTR sweep — can drive the exact Figure 7a
-// request stream through their own stacks.
-func BlockTrace(cfg Config, cell nvm.CellType, opt Options) ([]trace.BlockOp, int64, error) {
-	return blockTrace(cfg, cell, opt)
-}
-
-// blockTrace produces the device-level trace a configuration's software
+// BlockTrace produces the device-level trace a configuration's software
 // stack emits for the workload, along with the stack's in-flight window.
-func blockTrace(cfg Config, cell nvm.CellType, opt Options) ([]trace.BlockOp, int64, error) {
+// Run replays it; a study that drives the drive request by request, like
+// the crash-recovery study, replays the same stream.
+func BlockTrace(cfg Config, cell nvm.CellType, opt Options) ([]trace.BlockOp, int64, error) {
 	posix := opt.posix
 	if posix == nil {
 		var err error
@@ -209,7 +208,11 @@ func blockTrace(cfg Config, cell nvm.CellType, opt Options) ([]trace.BlockOp, in
 // replay drives the block trace through a freshly assembled drive on the
 // given host link and closes it out.
 func replay(cfg Config, cell nvm.CellType, opt Options, ops []trace.BlockOp, window int64, link nvm.Link) (ssd.Result, error) {
-	d, err := assemble(cfg, cell, opt, window, link)
+	tr, err := Translator(cfg, cell, opt)
+	if err != nil {
+		return ssd.Result{}, err
+	}
+	d, err := assemble(cfg, cell, tr, opt, window, link)
 	if err != nil {
 		return ssd.Result{}, err
 	}

@@ -25,7 +25,7 @@ type DurableConfig struct {
 	// Enabled turns the durable-metadata model on.
 	Enabled bool
 	// CheckpointEveryPages is the number of host page writes between full
-	// mapping-table checkpoints (<= 0 selects four superblocks' worth).
+	// mapping-table checkpoints (<= 0 selects DefaultCheckpointPages).
 	CheckpointEveryPages int64
 	// JournalEntriesPerPage is how many delta records one metadata page
 	// holds (<= 0 selects PageSize/16 — 16 bytes per packed record).

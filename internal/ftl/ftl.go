@@ -160,6 +160,12 @@ type Config struct {
 	Durable DurableConfig
 }
 
+// DefaultCheckpointPages is the mapping-table checkpoint interval, in host
+// pages, of a durable FTL whose config names none: four superblocks' worth.
+func DefaultCheckpointPages(geo nvm.Geometry, cell nvm.CellParams) int64 {
+	return 4 * int64(geo.Channels*cell.Planes*geo.DiesPerChannel()*cell.PagesPerBlock)
+}
+
 // New creates an FTL over the given geometry and medium.
 func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 	if err := geo.Validate(); err != nil {
@@ -188,7 +194,7 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 	if cfg.Durable.Enabled {
 		d := cfg.Durable
 		if d.CheckpointEveryPages <= 0 {
-			d.CheckpointEveryPages = 4 * f.spb
+			d.CheckpointEveryPages = DefaultCheckpointPages(geo, cell)
 		}
 		if d.JournalEntriesPerPage <= 0 {
 			d.JournalEntriesPerPage = int(cell.PageSize / 16)

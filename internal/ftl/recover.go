@@ -273,7 +273,10 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 			f.dur.ver[r.A] = r.V
 		}
 	case recTrim:
+		// The trim ends the page's history: no later placement may roll
+		// back to a copy displaced before it.
 		delete(f.l2p, r.A)
+		delete(prev, r.A)
 		if r.V > f.dur.ver[r.A] {
 			f.dur.ver[r.A] = r.V
 		}

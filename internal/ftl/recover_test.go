@@ -174,6 +174,48 @@ func TestRecoverTornPointsInvariants(t *testing.T) {
 	}
 }
 
+// TestRecoverTornOverwriteAfterTrim writes a page twice, trims it, and
+// tears the next overwrite's data program after its placement record was
+// journaled. The trim was acknowledged and the torn version never was, so
+// the page must mount unmapped: rolling the torn placement back to the
+// copy the second write displaced would serve v1 after v2 was acked.
+func TestRecoverTornOverwriteAfterTrim(t *testing.T) {
+	// One record per journal page flushes every placement and trim before
+	// the data program that follows it.
+	f, err := New(smallGeo(), nvm.Params(nvm.SLC), Config{Durable: DurableConfig{
+		Enabled: true, CheckpointEveryPages: 1 << 20, JournalEntriesPerPage: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lpn = 5
+	ps := f.PageSize()
+	count := 0
+	count, _ = applyOps(f.Media(), f.Write(lpn*ps, ps), count, 0)
+	count, _ = applyOps(f.Media(), f.Write(lpn*ps, ps), count, 0)
+	count, _ = applyOps(f.Media(), f.Erase(lpn*ps, ps), count, 0)
+	ops := f.Write(lpn*ps, ps)
+	tearAt := count
+	for _, op := range ops {
+		if op.Op == nvm.OpProgram || op.Op == nvm.OpErase {
+			tearAt++
+		}
+		if op.Op == nvm.OpProgram && !op.Meta {
+			break
+		}
+	}
+	if _, torn := applyOps(f.Media(), ops, count, tearAt); !torn {
+		t.Fatal("the overwrite's data program never tore")
+	}
+	rf, _, err := Recover(smallGeo(), nvm.Params(nvm.SLC), Config{}, f.Media())
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	checkInvariants(t, rf)
+	if ppn, ver, mapped := rf.Mapping(lpn); mapped {
+		t.Fatalf("trimmed lpn %d mounted at page %d with v%d; want unmapped", lpn, ppn, ver)
+	}
+}
+
 // TestRecoverUnrecoverableJournal corrupts a committed journal page and
 // requires the typed error plus a functioning read-only salvage mount.
 func TestRecoverUnrecoverableJournal(t *testing.T) {
