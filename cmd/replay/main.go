@@ -133,7 +133,7 @@ func run(o options, w io.Writer) (retErr error) {
 	}
 
 	// Observability is collected only when an export was requested; the
-	// stack runs with free no-op probes otherwise.
+	// stack runs with a nil collector, which costs nothing, otherwise.
 	col := o.exp.Collector()
 	samp := o.exp.Sampler()
 	rec := o.exp.Recorder(col)

@@ -128,7 +128,7 @@ func RunStudySampled(ops []trace.BlockOp, capacity, blockSize, workingSet int64,
 		return Study{}, err
 	}
 	if ts != nil {
-		timeseries.Instrument(c, ts)
+		c.RegisterSeries(ts)
 	}
 	var hitBytes, missBytes int64
 	var clock sim.Time

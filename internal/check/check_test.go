@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,8 @@ import (
 	"oocnvm/internal/experiment"
 	"oocnvm/internal/fault"
 	"oocnvm/internal/nvm"
+	"oocnvm/internal/obs"
+	"oocnvm/internal/obs/timeseries"
 	"oocnvm/internal/sim"
 	"oocnvm/internal/ssd"
 	"oocnvm/internal/trace"
@@ -61,37 +64,99 @@ func TestEpisodesCleanAcrossConfigs(t *testing.T) {
 // the drive experiment.Assemble builds for the same row and options around
 // the unchecked translator, as Run does. The checked episode must report
 // the very same result, field for field: the checker checks the stack the
-// figures run on.
+// figures run on. Observed the same way, with a registry-only collector and
+// a 100 µs sampler on both sides, the checked stack must also export the
+// same metrics and series byte for byte, so its FTL is probed and sampled
+// like the figures' one.
 func TestCheckedStackIsTheFiguresStack(t *testing.T) {
 	for _, name := range []string{"CNL-UFS", "CNL-EXT4", "ION-GPFS"} {
 		cfg := findConfig(t, name)
 		for _, prof := range []string{"none", "worn"} {
 			for _, cell := range []nvm.CellType{nvm.MLC, nvm.TLC} {
+				row := fmt.Sprintf("%s/%s/%v", name, prof, cell)
 				sc := StackConfig{Config: cfg, Cell: cell, Seed: 1, Fault: profile(t, prof)}
 				checked, err := RunEpisode(sc, DefaultParams(sc.Capacity(), nvm.Params(cell).PageSize))
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt := sc.options()
-				tr, err := experiment.Translator(cfg, cell, opt)
-				if err != nil {
-					t.Fatal(err)
+				plain := observedReplay(t, sc, checked.Trace, func(opt experiment.Options) (*experiment.Drive, error) {
+					tr, err := experiment.Translator(cfg, cell, opt)
+					if err != nil {
+						return nil, err
+					}
+					return experiment.Assemble(cfg, cell, tr, opt, 0)
+				})
+				if got, want := fmt.Sprintf("%#v", checked.Result), plain.result; got != want {
+					t.Errorf("%s: checked episode's result\n%s\ndiffers from the unchecked drive's\n%s", row, got, want)
 				}
-				d, err := experiment.Assemble(cfg, cell, tr, opt, 0)
-				if err != nil {
-					t.Fatal(err)
+				observed := observedReplay(t, sc, checked.Trace, func(opt experiment.Options) (*experiment.Drive, error) {
+					st, err := buildStack(sc, opt)
+					return st.drive, err
+				})
+				if observed.result != plain.result {
+					t.Errorf("%s: observing the checked stack changed its result", row)
 				}
-				plain, err := d.Replay(checked.Trace)
-				if err != nil {
-					t.Fatal(err)
+				if !bytes.Equal(observed.metrics, plain.metrics) {
+					t.Errorf("%s: checked stack's metrics differ from the unchecked drive's, %s",
+						row, firstDiff(observed.metrics, plain.metrics))
 				}
-				if got, want := fmt.Sprintf("%#v", checked.Result), fmt.Sprintf("%#v", plain); got != want {
-					t.Errorf("%s/%s/%v: checked episode's result\n%s\ndiffers from the unchecked drive's\n%s",
-						name, prof, cell, got, want)
+				if !bytes.Equal(observed.series, plain.series) {
+					t.Errorf("%s: checked stack's sampled series differ from the unchecked drive's, %s",
+						row, firstDiff(observed.series, plain.series))
 				}
 			}
 		}
 	}
+}
+
+// observation is one observed replay: the result as %#v, the metrics JSON
+// and the sampled series CSV.
+type observation struct {
+	result          string
+	metrics, series []byte
+}
+
+// observedReplay builds a drive for sc's options plus a registry-only
+// collector and a 100 µs sampler, replays ops through it and closes it out
+// as Replay does: the SSD's Replay, then the device registry absorbed into
+// the collector.
+func observedReplay(t *testing.T, sc StackConfig, ops []trace.BlockOp, build func(experiment.Options) (*experiment.Drive, error)) observation {
+	t.Helper()
+	opt := sc.options()
+	opt.Obs = &obs.Collector{Reg: obs.NewRegistry()}
+	opt.Sampler = timeseries.NewSampler(100*sim.Microsecond, 0)
+	d, err := build(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := d.SSD.Replay(ops)
+	opt.Obs.Reg.Absorb(d.Dev.Registry())
+	var metrics, series bytes.Buffer
+	if err := opt.Obs.Reg.WriteJSON(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.Sampler.WriteCSV(&series); err != nil {
+		t.Fatal(err)
+	}
+	return observation{fmt.Sprintf("%#v", res), metrics.Bytes(), series.Bytes()}
+}
+
+// firstDiff names the first line where got and want differ.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("first at line %d: got %q, want %q", i+1, gl, wl)
+		}
+	}
+	return "equal"
 }
 
 // TestFlippedLBACaughtAndShrunk injects the issue's intentional mapping bug

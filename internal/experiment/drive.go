@@ -92,12 +92,10 @@ func assemble(cfg Config, cell nvm.CellType, tr ssd.Translator, opt Options, win
 		QueueDepth:  opt.QueueDepth,
 		WindowBytes: window,
 		Seed:        opt.Seed,
+		Probe:       opt.Obs,
 		Fault:       d.Fault,
 		Sampler:     opt.Sampler,
 		Attrib:      opt.Attrib,
-	}
-	if opt.Obs != nil {
-		sc.Probe = opt.Obs
 	}
 	s, err := ssd.New(sc)
 	if err != nil {
@@ -116,12 +114,13 @@ func (d *Drive) Replay(ops []trace.BlockOp) (ssd.Result, error) {
 }
 
 // Finish drains the drive and closes it out: the device's metrics registry
-// is folded into the run's collector, and a drive without an injector fails
-// at its first error. A fault-free drive has no reason to reject an op, so
-// its error means the bandwidth is not the trace's.
+// is folded into the run's collector when it has a registry, and a drive
+// without an injector fails at its first error. A fault-free drive has no
+// reason to reject an op, so its error means the bandwidth is not the
+// trace's.
 func (d *Drive) Finish() (ssd.Result, error) {
 	res := d.SSD.Finish()
-	if d.col != nil {
+	if d.col != nil && d.col.Reg != nil {
 		d.col.Reg.Absorb(d.Dev.Registry())
 	}
 	if err := d.Err(); err != nil && d.Fault == nil {

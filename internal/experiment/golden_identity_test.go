@@ -207,31 +207,56 @@ func TestPaperScaleTraceHash(t *testing.T) {
 	}
 }
 
-// TestTracedMatrixRepeatable pins that a matrix with a shared tracer writes
-// the same trace on every run whatever Workers says: concurrent cells would
-// race for the span cap and tie on shared track names.
+// TestTracedMatrixRepeatable pins that a matrix with a shared collector
+// exports the same bytes on every run whatever Workers says: concurrent
+// cells would race for the tracer's span cap, tie on shared track names and
+// overwrite each other's gauges. The registry-only case is what
+// -metrics-out without -trace-out attaches; the trace-only one must also
+// close out every cell.
 func TestTracedMatrixRepeatable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the traced matrix twice")
+		t.Skip("runs each observed matrix twice")
 	}
 	configs := FileSystemConfigs()[:3]
 	cells := []nvm.CellType{nvm.TLC, nvm.PCM}
-	var traces [2][]byte
-	for i := range traces {
-		opt := TestOptions()
-		opt.Obs = obs.NewCollector()
-		opt.Workers = 4
-		if _, err := Matrix(configs, cells, opt); err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		if err := opt.Obs.Tr.WriteChromeJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		traces[i] = b.Bytes()
-	}
-	if !bytes.Equal(traces[0], traces[1]) {
-		t.Errorf("two traced matrix runs wrote different traces: SHA-256 %s and %s",
-			hashHex(traces[0]), hashHex(traces[1]))
+	for _, tc := range []struct {
+		name string
+		col  func() *obs.Collector
+	}{
+		{"traced", obs.NewCollector},
+		{"registry-only", func() *obs.Collector { return &obs.Collector{Reg: obs.NewRegistry()} }},
+		{"trace-only", func() *obs.Collector { return &obs.Collector{Tr: obs.NewTracer()} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var metrics, traces [2][]byte
+			for i := range metrics {
+				opt := TestOptions()
+				opt.Obs = tc.col()
+				opt.Workers = 4
+				if _, err := Matrix(configs, cells, opt); err != nil {
+					t.Fatal(err)
+				}
+				var m, tr bytes.Buffer
+				if opt.Obs.Reg != nil {
+					if err := opt.Obs.Reg.WriteJSON(&m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if opt.Obs.Tr != nil {
+					if err := opt.Obs.Tr.WriteChromeJSON(&tr); err != nil {
+						t.Fatal(err)
+					}
+				}
+				metrics[i], traces[i] = m.Bytes(), tr.Bytes()
+			}
+			if !bytes.Equal(metrics[0], metrics[1]) {
+				t.Errorf("two observed matrix runs wrote different metrics: SHA-256 %s and %s",
+					hashHex(metrics[0]), hashHex(metrics[1]))
+			}
+			if !bytes.Equal(traces[0], traces[1]) {
+				t.Errorf("two traced matrix runs wrote different traces: SHA-256 %s and %s",
+					hashHex(traces[0]), hashHex(traces[1]))
+			}
+		})
 	}
 }

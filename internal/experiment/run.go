@@ -29,11 +29,12 @@ type Options struct {
 	MeasureRemaining bool
 	// Obs, when non-nil, collects metrics and trace spans from the achieved
 	// run (the infinite-host-path remeasurement is never probed, so its
-	// synthetic traffic cannot pollute the numbers). Its metrics are safe
-	// to share across concurrent runs, but its tracer is not: concurrent
-	// cells would race for the span cap and tie on shared track names, so
-	// the kept spans would change from run to run. Matrix therefore runs
-	// its cells one at a time when Obs has a tracer.
+	// synthetic traffic cannot pollute the numbers). It is safe for
+	// concurrent use but not deterministic under it: a gauge keeps the
+	// last value written, and a tracer keeps the first spans it is handed
+	// and orders ties by arrival, so concurrent cells would change the
+	// exported bytes from run to run. Matrix therefore runs its cells one
+	// at a time when Obs is set.
 	Obs *obs.Collector
 	// Fault is the reliability profile injected into the achieved run (the
 	// media-capable remeasurement stays fault-free so "bandwidth remaining"
@@ -199,9 +200,7 @@ func BlockTrace(cfg Config, cell nvm.CellType, opt Options) ([]trace.BlockOp, in
 	if err != nil {
 		return nil, 0, err
 	}
-	if opt.Obs != nil {
-		obs.Instrument(fsys, opt.Obs)
-	}
+	fsys.SetProbe(opt.Obs)
 	return fsys.Transform(posix), fsys.ReadAhead(), nil
 }
 
@@ -248,10 +247,10 @@ func Matrix(configs []Config, cells []nvm.CellType, opt Options) ([]Measurement,
 	}
 	// Host-perf phases are deltas of process-wide counters; running cells
 	// one at a time keeps every phase's resource delta attributable to
-	// exactly one cell. A shared tracer keeps the first spans it is handed
-	// and orders ties by arrival, so a traced matrix runs serially too.
+	// exactly one cell. A shared collector's gauges and kept spans depend on
+	// the order cells write them, so an observed matrix runs serially too.
 	// Results are unchanged (each cell is deterministic and independent).
-	if opt.Host != nil || (opt.Obs != nil && opt.Obs.Tr != nil) {
+	if opt.Host != nil || opt.Obs != nil {
 		workers = 1
 	}
 	for w := 0; w < workers; w++ {

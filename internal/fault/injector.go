@@ -85,7 +85,7 @@ type Injector struct {
 	crashed bool
 
 	counts Counts
-	probe  obs.Probe
+	probe  *obs.Collector
 }
 
 // New builds an injector. A disabled profile is fine: every hook returns the
@@ -125,13 +125,12 @@ func New(cfg Config) (*Injector, error) {
 		erases:    make(map[int64]int64),
 		bad:       make(map[int64]bool),
 		spares:    spares,
-		probe:     obs.Nop{},
 	}, nil
 }
 
 // SetProbe attaches an observability probe mirroring every fault event into
 // counters.
-func (i *Injector) SetProbe(p obs.Probe) { i.probe = obs.OrNop(p) }
+func (i *Injector) SetProbe(p *obs.Collector) { i.probe = p }
 
 // Enabled reports whether the injector can do anything: a profile that
 // injects errors, or an armed power-loss crash plan.

@@ -32,6 +32,8 @@ type FileSystem interface {
 	// synchronous reader under this file system: the effective depth of the
 	// device pipeline, and the knob ext4-L turns up.
 	ReadAhead() int64
+	// SetProbe attaches an observability probe; nil detaches.
+	SetProbe(p *obs.Collector)
 }
 
 // Profile parameterizes a conventional file system's behaviour.
@@ -86,14 +88,14 @@ type profileFS struct {
 	rng      *sim.RNG
 	journal  int64 // next journal-region write position
 
-	probe obs.Probe
+	probe *obs.Collector
 	seq   int64 // synthetic translate-span timeline position
 }
 
 // SetProbe attaches an observability probe. Translation happens ahead of
 // simulated time, so translate spans are placed on a synthetic timeline (one
 // microsecond per POSIX request) that shows the fan-out, not timing.
-func (f *profileFS) SetProbe(p obs.Probe) { f.probe = obs.OrNop(p) }
+func (f *profileFS) SetProbe(p *obs.Collector) { f.probe = p }
 
 // New builds a file system from a behavioural profile. capacity is the size
 // of the device's address space (used for scatter relocation targets); seed
@@ -105,7 +107,7 @@ func New(p Profile, capacity int64, seed uint64) (FileSystem, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("fs: %s: capacity must be positive", p.Name)
 	}
-	return &profileFS{p: p, capacity: capacity, rng: sim.NewRNG(seed), probe: obs.Nop{}}, nil
+	return &profileFS{p: p, capacity: capacity, rng: sim.NewRNG(seed)}, nil
 }
 
 func (f *profileFS) Name() string { return f.p.Name }

@@ -44,13 +44,13 @@ type gpfs struct {
 	capacity int64
 	rng      *sim.RNG
 
-	probe obs.Probe
+	probe *obs.Collector
 	seq   int64 // synthetic translate-span timeline position
 }
 
 // SetProbe attaches an observability probe; see profileFS.SetProbe for the
 // synthetic-timeline semantics of translate spans.
-func (g *gpfs) SetProbe(p obs.Probe) { g.probe = obs.OrNop(p) }
+func (g *gpfs) SetProbe(p *obs.Collector) { g.probe = p }
 
 // NewGPFS builds the GPFS model for one backing SSD with the given device
 // capacity.
@@ -64,7 +64,7 @@ func NewGPFS(cfg GPFSConfig, capacity int64, seed uint64) (FileSystem, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("fs: gpfs capacity must be positive")
 	}
-	return &gpfs{cfg: cfg, capacity: capacity, rng: sim.NewRNG(seed), probe: obs.Nop{}}, nil
+	return &gpfs{cfg: cfg, capacity: capacity, rng: sim.NewRNG(seed)}, nil
 }
 
 // stripeHash maps a stripe index to a stable pseudo-random value (SplitMix64

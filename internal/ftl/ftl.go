@@ -65,7 +65,7 @@ type FTL struct {
 	media    *Media
 	readOnly error
 
-	probe obs.Probe
+	probe *obs.Collector
 	// mapc counts map lookups, nil unless a collecting probe is attached.
 	// A lookup runs once per page, so it holds counter handles.
 	mapc *mapCounters
@@ -108,18 +108,18 @@ func (f *FTL) ReleaseOps(ops []nvm.PageOp) {
 
 // SetProbe attaches an observability probe: map-lookup and GC counters, and
 // the erase-amplification inputs (host vs NAND writes, relocations).
-func (f *FTL) SetProbe(p obs.Probe) {
-	f.probe = obs.OrNop(p)
+func (f *FTL) SetProbe(p *obs.Collector) {
+	f.probe = p
 	f.mapc = nil
-	if f.probe.Enabled() {
-		f.mapc = &mapCounters{probe: f.probe}
+	if p.Enabled() {
+		f.mapc = &mapCounters{probe: p}
 	}
 }
 
 // mapCounters counts ftl.map.lookups and ftl.map.remapped. Each handle is
 // bound at its first count, so a metric appears once it is counted.
 type mapCounters struct {
-	probe             obs.Probe
+	probe             *obs.Collector
 	lookups, remapped *obs.Counter
 }
 
@@ -181,7 +181,6 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 		p2l:    make(map[int64]int64),
 		dead:   make(map[int64]bool),
 		active: -1,
-		probe:  obs.Nop{},
 	}
 	f.spb = f.rowsz * f.ppb
 	f.sb = make([]superblock, f.super)

@@ -90,7 +90,7 @@ type Line struct {
 	bps      float64
 	overhead sim.Time
 
-	probe obs.Probe
+	probe *obs.Collector
 	// Metric handles, bound at the first transfer so the hot path never
 	// names a metric and a link that never transfers registers none.
 	busy         *obs.Gauge
@@ -99,14 +99,14 @@ type Line struct {
 
 // NewLine builds a raw link with the given bandwidth and per-request cost.
 func NewLine(name string, bytesPerSec float64, overhead sim.Time) *Line {
-	return &Line{name: name, bps: bytesPerSec, overhead: overhead, probe: obs.Nop{}}
+	return &Line{name: name, bps: bytesPerSec, overhead: overhead}
 }
 
 // SetProbe attaches an observability probe: per-transfer spans on the link's
 // track plus byte/transfer counters and a cumulative busy-time gauge (the
 // link-occupancy sample).
-func (l *Line) SetProbe(p obs.Probe) {
-	l.probe = obs.OrNop(p)
+func (l *Line) SetProbe(p *obs.Collector) {
+	l.probe = p
 	l.busy, l.bytes, l.xfers = nil, nil, nil
 }
 
@@ -155,6 +155,12 @@ func (Infinite) RequestOverhead() sim.Time { return 0 }
 // BytesPerSec reports an effectively unlimited rate.
 func (Infinite) BytesPerSec() float64 { return 1e18 }
 
+// Busy is zero: no transfer occupies the link.
+func (Infinite) Busy() sim.Time { return 0 }
+
+// SetProbe does nothing: the link records no transfers.
+func (Infinite) SetProbe(*obs.Collector) {}
+
 // Chain composes links in series (e.g. remote PCIe then the cluster
 // network): a transfer occupies each stage in order, and the per-request
 // overheads add up.
@@ -166,7 +172,7 @@ type Chain struct {
 func NewChain(stages ...*Line) *Chain { return &Chain{Stages: stages} }
 
 // SetProbe attaches an observability probe to every stage.
-func (c *Chain) SetProbe(p obs.Probe) {
+func (c *Chain) SetProbe(p *obs.Collector) {
 	for _, s := range c.Stages {
 		s.SetProbe(p)
 	}

@@ -66,6 +66,11 @@ type Link interface {
 	RequestOverhead() sim.Time
 	// BytesPerSec reports the link's effective data bandwidth.
 	BytesPerSec() float64
+	// Busy reports the link's accumulated transfer time, the numerator of
+	// its occupancy series.
+	Busy() sim.Time
+	// SetProbe attaches an observability probe to the link; nil detaches.
+	SetProbe(p *obs.Collector)
 }
 
 // Device is an event-driven model of one SSD's NVM complex: channel buses and
@@ -158,7 +163,7 @@ type Device struct {
 	// only spans (bus transfers, die activations); counters never go
 	// through it, so absorbing the registry cannot double-count.
 	reg      *obs.Registry
-	probe    obs.Probe
+	probe    *obs.Collector
 	cReads   *obs.Counter
 	cProgs   *obs.Counter
 	cErases  *obs.Counter
@@ -214,7 +219,6 @@ func NewDevice(geo Geometry, cell CellParams, bus BusParams, link Link, seed uin
 		d.pkgCover[c] = make([]sim.IntervalSet, geo.PackagesPerChannel)
 		d.dieContMark[c] = make([]sim.Time, geo.DiesPerChannel())
 	}
-	d.probe = obs.Nop{}
 	d.bindMetrics(obs.NewRegistry())
 	return d, nil
 }
@@ -240,13 +244,13 @@ func (d *Device) bindMetrics(r *obs.Registry) {
 // refreshes). Absorb it into a run-level registry for export.
 func (d *Device) Registry() *obs.Registry { return d.reg }
 
-// SetProbe attaches an observability probe: the device emits spans for
-// every die activation and channel-bus transfer through it. A nil probe
-// resets to the free no-op probe.
-func (d *Device) SetProbe(p obs.Probe) {
-	d.probe = obs.OrNop(p)
-	obs.Instrument(d.link, p)
-	if d.probe.Enabled() && d.busTracks == nil {
+// SetProbe attaches an observability probe to the device and its host
+// link: the device emits spans for every die activation and channel-bus
+// transfer through it. A nil probe turns observability off.
+func (d *Device) SetProbe(p *obs.Collector) {
+	d.probe = p
+	d.link.SetProbe(p)
+	if p.Enabled() && d.busTracks == nil {
 		dpc := d.Geo.DiesPerChannel()
 		d.busTracks = make([]string, d.Geo.Channels)
 		d.dieTracks = make([]string, d.Geo.Channels*dpc)
@@ -280,19 +284,17 @@ func (d *Device) DieBusy() sim.Time {
 }
 
 // RegisterSeries registers the device's time-resolved telemetry: per-pool
-// busy fractions for channel buses and dies, and — when the host link tracks
-// its own occupancy — the interconnect's busy fraction. Busy time is booked
-// at dispatch, so a sample can include work scheduled past its boundary; the
-// sampler clamps fractions at export (dispatch-horizon sampling).
+// busy fractions for channel buses and dies, and the host link's busy
+// fraction. Busy time is booked at dispatch, so a sample can include work
+// scheduled past its boundary; the sampler clamps fractions at export
+// (dispatch-horizon sampling).
 func (d *Device) RegisterSeries(ts *timeseries.Sampler) {
 	ts.AddFraction("nvm.channel_util", float64(d.Geo.Channels),
 		func(sim.Time) float64 { return float64(d.ChannelBusy()) })
 	ts.AddFraction("nvm.die_util", float64(d.Geo.Channels*d.Geo.DiesPerChannel()),
 		func(sim.Time) float64 { return float64(d.DieBusy()) })
-	if l, ok := d.link.(interface{ Busy() sim.Time }); ok {
-		ts.AddFraction("interconnect.link_occupancy", 1,
-			func(sim.Time) float64 { return float64(l.Busy()) })
-	}
+	ts.AddFraction("interconnect.link_occupancy", 1,
+		func(sim.Time) float64 { return float64(d.link.Busy()) })
 }
 
 // regTime is the register/SRAM staging cost between a die's page register and

@@ -3,6 +3,7 @@ package nvm
 import (
 	"testing"
 
+	"oocnvm/internal/obs"
 	"oocnvm/internal/sim"
 )
 
@@ -12,6 +13,8 @@ type fastLink struct{}
 func (fastLink) Transfer(at sim.Time, n int64) sim.Time { return at }
 func (fastLink) RequestOverhead() sim.Time              { return 0 }
 func (fastLink) BytesPerSec() float64                   { return 1e18 }
+func (fastLink) Busy() sim.Time                         { return 0 }
+func (fastLink) SetProbe(*obs.Collector)                {}
 
 // slowLink is a serializing link with a fixed rate.
 type slowLink struct {
@@ -25,6 +28,8 @@ func (l *slowLink) Transfer(at sim.Time, n int64) sim.Time {
 }
 func (l *slowLink) RequestOverhead() sim.Time { return 0 }
 func (l *slowLink) BytesPerSec() float64      { return l.bps }
+func (l *slowLink) Busy() sim.Time            { return l.tl.Busy() }
+func (l *slowLink) SetProbe(*obs.Collector)   {}
 
 func newTestDevice(t *testing.T, cell CellType, bus BusParams, link Link) *Device {
 	t.Helper()
@@ -291,6 +296,8 @@ type overheadLink struct{ oh sim.Time }
 func (l overheadLink) Transfer(at sim.Time, n int64) sim.Time { return at }
 func (l overheadLink) RequestOverhead() sim.Time              { return l.oh }
 func (l overheadLink) BytesPerSec() float64                   { return 1e18 }
+func (l overheadLink) Busy() sim.Time                         { return 0 }
+func (l overheadLink) SetProbe(*obs.Collector)                {}
 
 func TestOpString(t *testing.T) {
 	if OpRead.String() != "read" || OpProgram.String() != "program" || OpErase.String() != "erase" {

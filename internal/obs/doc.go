@@ -35,16 +35,18 @@
 //
 // # Probes
 //
-// Probe is the interface instrumented code calls. The Nop implementation
-// makes every call free of allocations and observable work, so hot paths
-// (nvm.Device.Submit, ssd.SSD.Submit) stay unperturbed when observability
-// is disabled; internal/ssd guards this with a testing.AllocsPerRun test.
-// Collector bundles a Registry and a Tracer into a working Probe; wire it
-// with SetProbe/Instrument on each layer, or let ssd.Config.Probe fan it
-// out to the device. Sites that count once per page hold the handles
-// Probe.Counter and Probe.Gauge return instead of naming the metric on
-// every call; Nop returns nil handles, on which Add, Inc and Set do
-// nothing.
+// A *Collector is the probe every instrumented layer holds and calls: it
+// bundles a Registry and a Tracer, and either may be nil to collect only the
+// other. A nil *Collector means observability off. Its methods return at
+// once and allocate nothing, so hot paths (nvm.Device.Submit,
+// ssd.SSD.Submit) stay unperturbed; internal/ssd guards this with a
+// testing.AllocsPerRun test. Each layer takes its probe through SetProbe on
+// the interface it is already called through (fs.FileSystem,
+// ssd.Translator, nvm.Link), and ssd.Config.Probe fans one collector out to
+// the whole drive. Sites that count once per page hold the handles
+// Collector.Counter and Collector.Gauge return instead of naming the metric
+// on every call; a nil collector returns nil handles, on which Add, Inc and
+// Set do nothing.
 //
 // # Naming conventions
 //

@@ -111,12 +111,17 @@ func (f *Flags) Enabled() bool {
 }
 
 // Collector returns a fresh collector when any export needs one, nil
-// otherwise — so the stack runs with free no-op probes unless asked.
+// otherwise, so the stack runs unobserved unless asked. It carries a tracer
+// only when -trace-out will write the spans.
 func (f *Flags) Collector() *obs.Collector {
 	if !f.Enabled() {
 		return nil
 	}
-	return obs.NewCollector()
+	col := &obs.Collector{Reg: obs.NewRegistry()}
+	if f.TraceOut != "" {
+		col.Tr = obs.NewTracer()
+	}
+	return col
 }
 
 // Sampler returns a fresh time-series sampler when a report was requested,

@@ -59,6 +59,28 @@ func TestDisabledFlagsBuildNothing(t *testing.T) {
 	}
 }
 
+// TestCollectorTracesOnlyForTraceOut pins that only -trace-out buys a
+// tracer: every other export reads the registry alone, and a tracer nobody
+// writes would record spans for nothing.
+func TestCollectorTracesOnlyForTraceOut(t *testing.T) {
+	for _, f := range []Flags{
+		{TraceOut: "t.json"},
+		{TraceOut: "t.json", MetricsOut: "m.json"},
+		{MetricsOut: "m.json"},
+		{ReportOut: "r.html"},
+		{Attrib: true},
+		{AttribOut: "a.csv"},
+	} {
+		col := f.Collector()
+		if col == nil || col.Reg == nil {
+			t.Fatalf("%+v: no registry", f)
+		}
+		if got, want := col.Tr != nil, f.TraceOut != ""; got != want {
+			t.Errorf("%+v: collector has a tracer = %v, want %v", f, got, want)
+		}
+	}
+}
+
 func TestReportCSVPath(t *testing.T) {
 	if got := ReportCSVPath("out/report.html"); got != "out/report.csv" {
 		t.Fatalf("ReportCSVPath(html) = %q", got)

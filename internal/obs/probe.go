@@ -19,66 +19,14 @@ const (
 	LayerNVM          = "nvm"
 )
 
-// Probe is the hook instrumented code calls. Implementations must tolerate
-// concurrent use. The Nop implementation makes every method free; hot paths
-// should guard allocation-bearing calls (attr construction, fmt) behind
-// Enabled.
-type Probe interface {
-	// Enabled reports whether spans/metrics are actually collected; use it
-	// to skip attribute or track-name construction on hot paths.
-	Enabled() bool
-	// Span records one interval of simulated time on (layer, track).
-	Span(layer, track, name string, start, end sim.Time, attrs ...Attr)
-	// Count accumulates delta into the named counter.
-	Count(name string, delta int64)
-	// Observe records v into the named latency histogram.
-	Observe(name string, v sim.Time)
-	// SetGauge records the named gauge's current value.
-	SetGauge(name string, v float64)
-	// Counter returns the named counter's handle for per-page sites,
-	// registering the counter at zero; nil when nothing is collected. Add
-	// and Inc on a nil handle do nothing.
-	Counter(name string) *Counter
-	// Gauge returns the named gauge's handle, registering it; nil when
-	// nothing is collected. Set on a nil handle does nothing.
-	Gauge(name string) *Gauge
-}
+// Probe is another name for *Collector, kept because the benchmark's link
+// wrapper (bench/oocperf) names SetProbe(obs.Probe).
+type Probe = *Collector
 
-// Nop is the default probe: every call is a no-op and allocates nothing.
-type Nop struct{}
-
-// Enabled reports false.
-func (Nop) Enabled() bool { return false }
-
-// Span does nothing.
-func (Nop) Span(layer, track, name string, start, end sim.Time, attrs ...Attr) {}
-
-// Count does nothing.
-func (Nop) Count(name string, delta int64) {}
-
-// Observe does nothing.
-func (Nop) Observe(name string, v sim.Time) {}
-
-// SetGauge does nothing.
-func (Nop) SetGauge(name string, v float64) {}
-
-// Counter returns nil.
-func (Nop) Counter(name string) *Counter { return nil }
-
-// Gauge returns nil.
-func (Nop) Gauge(name string) *Gauge { return nil }
-
-// OrNop returns p, or a Nop probe when p is nil, so layers can hold a Probe
-// field that is always safe to call.
-func OrNop(p Probe) Probe {
-	if p == nil {
-		return Nop{}
-	}
-	return p
-}
-
-// Collector is a working Probe: spans land in Tr, metrics in Reg. Either
-// may be nil to collect only the other.
+// Collector is the probe every layer calls: spans land in Tr, metrics in
+// Reg. Either may be nil to collect only the other. A nil *Collector means
+// observability off: every method returns at once and allocates nothing.
+// Safe for concurrent use.
 type Collector struct {
 	Reg *Registry
 	Tr  *Tracer
@@ -89,48 +37,54 @@ func NewCollector() *Collector {
 	return &Collector{Reg: NewRegistry(), Tr: NewTracer()}
 }
 
-// Enabled reports true.
-func (c *Collector) Enabled() bool { return true }
+// Enabled reports whether spans or metrics are collected at all: false
+// only on a nil collector. Use it to skip attribute or track-name
+// construction on hot paths.
+func (c *Collector) Enabled() bool { return c != nil }
 
-// Span records the interval into the tracer.
+// Span records one interval of simulated time on (layer, track) into the
+// tracer.
 func (c *Collector) Span(layer, track, name string, start, end sim.Time, attrs ...Attr) {
-	if c.Tr != nil {
+	if c != nil && c.Tr != nil {
 		c.Tr.Span(layer, track, name, start, end, attrs...)
 	}
 }
 
-// Count accumulates into the registry counter.
+// Count accumulates delta into the named registry counter.
 func (c *Collector) Count(name string, delta int64) {
-	if c.Reg != nil {
+	if c != nil && c.Reg != nil {
 		c.Reg.Counter(name).Add(delta)
 	}
 }
 
-// Observe records into the registry histogram.
+// Observe records v into the named registry latency histogram.
 func (c *Collector) Observe(name string, v sim.Time) {
-	if c.Reg != nil {
+	if c != nil && c.Reg != nil {
 		c.Reg.Histogram(name).Observe(v)
 	}
 }
 
-// SetGauge records into the registry gauge.
+// SetGauge records the named registry gauge's current value.
 func (c *Collector) SetGauge(name string, v float64) {
-	if c.Reg != nil {
+	if c != nil && c.Reg != nil {
 		c.Reg.Gauge(name).Set(v)
 	}
 }
 
-// Counter returns the registry counter, nil without a registry.
+// Counter returns the named registry counter's handle for per-page sites,
+// registering the counter at zero; nil without a registry. Add and Inc on a
+// nil handle do nothing.
 func (c *Collector) Counter(name string) *Counter {
-	if c.Reg == nil {
+	if c == nil || c.Reg == nil {
 		return nil
 	}
 	return c.Reg.Counter(name)
 }
 
-// Gauge returns the registry gauge, nil without a registry.
+// Gauge returns the named registry gauge's handle, registering it; nil
+// without a registry. Set on a nil handle does nothing.
 func (c *Collector) Gauge(name string) *Gauge {
-	if c.Reg == nil {
+	if c == nil || c.Reg == nil {
 		return nil
 	}
 	return c.Reg.Gauge(name)
@@ -138,7 +92,7 @@ func (c *Collector) Gauge(name string) *Gauge {
 
 // WriteTraceFile writes the tracer's Chrome trace JSON to path.
 func (c *Collector) WriteTraceFile(path string) error {
-	if c.Tr == nil {
+	if c == nil || c.Tr == nil {
 		return fmt.Errorf("obs: collector has no tracer")
 	}
 	f, err := os.Create(path)
@@ -157,7 +111,7 @@ func (c *Collector) WriteTraceFile(path string) error {
 // detectable from the metrics export alone. Overwrite semantics: calling it
 // before every export is safe and never double-counts.
 func (c *Collector) SyncTracerMetrics() {
-	if c.Reg == nil || c.Tr == nil {
+	if c == nil || c.Reg == nil || c.Tr == nil {
 		return
 	}
 	c.Reg.Counter("obs.trace.spans").set(int64(c.Tr.Len()))
@@ -168,7 +122,7 @@ func (c *Collector) SyncTracerMetrics() {
 // ends in ".csv", indented JSON otherwise. The tracer's span totals are
 // synced into the registry first (SyncTracerMetrics).
 func (c *Collector) WriteMetricsFile(path string) error {
-	if c.Reg == nil {
+	if c == nil || c.Reg == nil {
 		return fmt.Errorf("obs: collector has no registry")
 	}
 	c.SyncTracerMetrics()
@@ -187,19 +141,6 @@ func (c *Collector) WriteMetricsFile(path string) error {
 		return werr
 	}
 	return f.Close()
-}
-
-// Instrument attaches p to x when x supports probing (exposes
-// SetProbe(Probe)), reporting whether it did. It lets call sites wire
-// probes through interface values (fs.FileSystem, nvm.Link,
-// ssd.Translator) without import cycles or type switches.
-func Instrument(x any, p Probe) bool {
-	s, ok := x.(interface{ SetProbe(Probe) })
-	if !ok {
-		return false
-	}
-	s.SetProbe(p)
-	return true
 }
 
 // FormatStageTable renders the snapshot's latency histograms as the

@@ -12,7 +12,7 @@ import (
 
 // Counter is a named monotonic (or at least additive) int64. Safe for
 // concurrent use; handles obtained from a Registry may be cached and hit
-// directly on hot paths. A nil *Counter (Nop.Counter's handle) counts
+// directly on hot paths. A nil *Counter (a nil Collector's handle) counts
 // nothing.
 type Counter struct {
 	name string

@@ -334,18 +334,3 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// Instrument attaches the sampler to any component exposing
-// RegisterSeries(*Sampler), reporting whether it did. Mirrors obs.Instrument:
-// components advertise series without this package importing them.
-func Instrument(x any, s *Sampler) bool {
-	if s == nil || x == nil {
-		return false
-	}
-	r, ok := x.(interface{ RegisterSeries(*Sampler) })
-	if !ok {
-		return false
-	}
-	r.RegisterSeries(s)
-	return true
-}

@@ -196,27 +196,3 @@ func TestWriteCSVDeterministic(t *testing.T) {
 		t.Fatalf("rows not sorted by series:\n%s", a)
 	}
 }
-
-func TestInstrument(t *testing.T) {
-	s := NewSampler(10, 8)
-	c := &fakeComponent{}
-	if !Instrument(c, s) {
-		t.Fatal("Instrument returned false for a RegisterSeries component")
-	}
-	if !c.registered {
-		t.Fatal("RegisterSeries not called")
-	}
-	if Instrument(struct{}{}, s) {
-		t.Fatal("Instrument matched a component without RegisterSeries")
-	}
-	if Instrument(c, nil) {
-		t.Fatal("Instrument matched with a nil sampler")
-	}
-}
-
-type fakeComponent struct{ registered bool }
-
-func (f *fakeComponent) RegisterSeries(s *Sampler) {
-	f.registered = true
-	s.AddGauge("fake", func(sim.Time) float64 { return 0 })
-}

@@ -54,6 +54,11 @@ type Translator interface {
 	// slice. A drive's requests are serial, so one borrow is live at most.
 	SetOpPool(p *pool.Buffers[nvm.PageOp])
 	ReleaseOps(ops []nvm.PageOp)
+	// SetProbe attaches an observability probe; nil detaches.
+	SetProbe(p *obs.Collector)
+	// RegisterSeries registers the translator's time-resolved telemetry
+	// (FTL GC activity, write amplification) on the drive's sampler.
+	RegisterSeries(ts *timeseries.Sampler)
 }
 
 // BlockRetirer retires a grown-bad block and relocates its still-valid
@@ -120,6 +125,12 @@ func (d *Direct) ReleaseOps(ops []nvm.PageOp) {
 // SetMappingTap attaches a conformance tap observing every translation this
 // Direct mapping serves, including bad-block redirections. Nil detaches.
 func (d *Direct) SetMappingTap(t nvm.MappingTap) { d.tap = t }
+
+// SetProbe does nothing: Direct records no metrics of its own.
+func (d *Direct) SetProbe(*obs.Collector) {}
+
+// RegisterSeries does nothing: Direct has no series of its own.
+func (d *Direct) RegisterSeries(*timeseries.Sampler) {}
 
 // Err is always nil: identity striping never runs out of room to place a
 // write. Spare exhaustion is the fault injector's to report.
@@ -316,8 +327,8 @@ type Config struct {
 	WindowBytes int64
 	Seed        uint64
 	// Probe receives per-request spans and latency observations. Nil means
-	// observability off (a no-op probe, free on the hot path).
-	Probe obs.Probe
+	// observability off, free on the hot path.
+	Probe *obs.Collector
 	// Fault injects bit errors and program/erase failures at the media layer.
 	// Nil (or a disabled injector) leaves the legacy fault-free path exactly
 	// as it was, including its RNG draw sequence.
@@ -352,7 +363,7 @@ type SSD struct {
 	dataBytes int64
 	opsCount  int64
 	capacity  int64
-	probe     obs.Probe
+	probe     *obs.Collector
 	sampler   *timeseries.Sampler
 	faults    *fault.Injector
 	att       *attrib.Recorder
@@ -397,7 +408,7 @@ func New(cfg Config) (*SSD, error) {
 		trans:    cfg.Translator,
 		win:      sim.NewWindow(cfg.QueueDepth, cfg.WindowBytes),
 		capacity: cfg.Translator.CapacityBytes(),
-		probe:    obs.Nop{},
+		probe:    cfg.Probe,
 		opPool:   new(pool.Buffers[nvm.PageOp]),
 		// A translator that already takes no writes (the FTL after a salvage
 		// mount) makes the drive read-only from its first request.
@@ -416,16 +427,12 @@ func New(cfg Config) (*SSD, error) {
 		dev.SetAttrib(cfg.Attrib)
 	}
 	// The probe reaches the drive, its device (and through it the link),
-	// the fault injector and, when the translator is probeable like the
-	// FTL, the translation layer.
-	if p := cfg.Probe; p != nil {
-		s.probe = p
-		dev.SetProbe(p)
-		if s.faults != nil {
-			s.faults.SetProbe(p)
-		}
-		obs.Instrument(s.trans, p)
+	// the fault injector and the translation layer.
+	dev.SetProbe(cfg.Probe)
+	if s.faults != nil {
+		s.faults.SetProbe(cfg.Probe)
 	}
+	cfg.Translator.SetProbe(cfg.Probe)
 	// The sampler gets the whole stack's series: the device's utilization
 	// fractions and link occupancy, the drive's queue depth, throughput and
 	// op rate, the translator's series (FTL GC activity, write
@@ -443,7 +450,7 @@ func New(cfg Config) (*SSD, error) {
 		ts.AddDelta("ssd.ops", func(sim.Time) float64 {
 			return float64(s.opsCount)
 		})
-		timeseries.Instrument(s.trans, ts)
+		cfg.Translator.RegisterSeries(ts)
 		if s.faults != nil {
 			s.faults.RegisterSeries(ts)
 		}

@@ -219,7 +219,7 @@ func TestBandwidthOrderingByMedium(t *testing.T) {
 }
 
 // TestSubmitNopProbeZeroAllocs proves the disabled-observability hot path
-// adds no allocations to SSD.Submit. Zero-size ops keep the translator and
+// (a nil probe) adds no allocations to SSD.Submit. Zero-size ops keep the translator and
 // window heap out of the picture so the probe calls are the only suspects.
 func TestSubmitNopProbeZeroAllocs(t *testing.T) {
 	s := newSSD(t, testConfig(nvm.SLC))
@@ -229,7 +229,7 @@ func TestSubmitNopProbeZeroAllocs(t *testing.T) {
 		s.Submit(op)
 	})
 	if allocs != 0 {
-		t.Fatalf("Submit with no-op probe allocates %.1f per call", allocs)
+		t.Fatalf("Submit with a nil probe allocates %.1f per call", allocs)
 	}
 }
 

@@ -209,14 +209,14 @@ func chunk(kind trace.Kind, off, size int64) []trace.BlockOp {
 // through unchanged except for MaxRequest chunking. Use a pointer so an
 // attached probe survives across Transform calls.
 type AsFileSystem struct {
-	probe obs.Probe
+	probe *obs.Collector
 	seq   int64 // synthetic translate-span timeline position
 }
 
 // SetProbe attaches an observability probe. Like the fs package's
 // translators, translate spans land on a synthetic one-request-per-
 // microsecond timeline showing fan-out, not timing.
-func (a *AsFileSystem) SetProbe(p obs.Probe) { a.probe = obs.OrNop(p) }
+func (a *AsFileSystem) SetProbe(p *obs.Collector) { a.probe = p }
 
 // Name returns "UFS".
 func (*AsFileSystem) Name() string { return "UFS" }
@@ -228,16 +228,15 @@ func (*AsFileSystem) ReadAhead() int64 { return 256 * 1024 * 1024 }
 
 // Transform passes the stream through, preserving size and sequentiality.
 func (a *AsFileSystem) Transform(ops []trace.PosixOp) []trace.BlockOp {
-	probe := obs.OrNop(a.probe)
 	var out []trace.BlockOp
 	for _, op := range ops {
 		outBefore := len(out)
 		out = append(out, chunk(op.Kind, op.Offset, op.Size)...)
-		probe.Count("ufs.posix_ops", 1)
-		probe.Count("ufs.block_ops", int64(len(out)-outBefore))
-		if probe.Enabled() {
+		a.probe.Count("ufs.posix_ops", 1)
+		a.probe.Count("ufs.block_ops", int64(len(out)-outBefore))
+		if a.probe.Enabled() {
 			t := sim.Time(a.seq) * sim.Microsecond
-			probe.Span(obs.LayerUFS, "passthrough", "translate", t, t+sim.Microsecond,
+			a.probe.Span(obs.LayerUFS, "passthrough", "translate", t, t+sim.Microsecond,
 				obs.Attr{Key: "in_bytes", Value: op.Size},
 				obs.Attr{Key: "out_ops", Value: int64(len(out) - outBefore)})
 		}
