@@ -14,6 +14,7 @@ var update = flag.Bool("update", false, "rewrite the simcheck output golden file
 //
 //	simcheck -episodes 2 -configs CNL-UFS,CNL-EXT4,ION-GPFS -cells MLC,TLC
 //	simcheck -episodes 2 -configs CNL-UFS,CNL-EXT4,ION-GPFS -cells MLC,TLC -fault worn
+//	simcheck -episodes 2 -configs CNL-UFS,CNL-EXT4,ION-GPFS -cells MLC,TLC -fault eol
 //	simcheck -episodes 1 -configs CNL-EXT4,ION-GPFS -cells MLC -crash-sweep -crash-study
 //
 // Every number in it comes from the stack the checker builds, so a change
@@ -33,6 +34,11 @@ func TestSimcheckGoldenOutput(t *testing.T) {
 		}},
 		{"episodes_worn.golden", func(o *options) {
 			o.episodes, o.configs, o.cells, o.faultName = 2, "CNL-UFS,CNL-EXT4,ION-GPFS", "MLC,TLC", "worn"
+		}},
+		// eol retires superblocks, so it pins the FTL's relocation of a
+		// retired superblock's pages under the oracle.
+		{"episodes_eol.golden", func(o *options) {
+			o.episodes, o.configs, o.cells, o.faultName = 2, "CNL-UFS,CNL-EXT4,ION-GPFS", "MLC,TLC", "eol"
 		}},
 		{"crash.golden", func(o *options) {
 			o.episodes, o.configs, o.cells = 1, "CNL-EXT4,ION-GPFS", "MLC"

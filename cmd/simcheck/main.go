@@ -200,7 +200,9 @@ func run(opt options, out io.Writer) error {
 							fmt.Fprintf(out, "    %v offset=%d size=%d sync=%v\n", op.Kind, op.Offset, op.Size, op.Sync)
 						}
 						if opt.crashTraceOut != "" {
-							if err := writeTrace(opt.crashTraceOut, f.Trace); err != nil {
+							if err := export.WriteFile(opt.crashTraceOut, func(w io.Writer) error {
+								return trace.WriteBlockTrace(w, f.Trace)
+							}); err != nil {
 								endCrash()
 								return err
 							}
@@ -292,20 +294,6 @@ func (o options) params(sc check.StackConfig) check.Params {
 		p.Ops = o.ops
 	}
 	return p
-}
-
-// writeTrace dumps a reproducer trace in the binary block-trace format the
-// replay command accepts.
-func writeTrace(path string, ops []trace.BlockOp) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteBlockTrace(f, ops); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func main() {

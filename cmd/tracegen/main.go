@@ -14,6 +14,7 @@ import (
 	"oocnvm/internal/experiment"
 	"oocnvm/internal/fs"
 	"oocnvm/internal/nvm"
+	"oocnvm/internal/obs/export"
 	"oocnvm/internal/ooc"
 	"oocnvm/internal/trace"
 	"oocnvm/internal/ufs"
@@ -91,7 +92,7 @@ func run(matrix, panel, apps int, fsName, posixF, blockF string, asJSON, fig6 bo
 		fsys.Name(), st.Ops, st.MeanSize/1024, 100*st.SequentialPct, st.MetaOps, st.SyncOps)
 
 	if posixF != "" {
-		if err := writeFile(posixF, func(f *os.File) error {
+		if err := export.WriteFile(posixF, func(f io.Writer) error {
 			if asJSON {
 				return trace.EncodeJSON(f, posix)
 			}
@@ -101,7 +102,7 @@ func run(matrix, panel, apps int, fsName, posixF, blockF string, asJSON, fig6 bo
 		}
 	}
 	if blockF != "" {
-		if err := writeFile(blockF, func(f *os.File) error {
+		if err := export.WriteFile(blockF, func(f io.Writer) error {
 			if asJSON {
 				return trace.EncodeJSON(f, block)
 			}
@@ -111,16 +112,4 @@ func run(matrix, panel, apps int, fsName, posixF, blockF string, asJSON, fig6 bo
 		}
 	}
 	return nil
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

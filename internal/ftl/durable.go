@@ -1,7 +1,7 @@
 package ftl
 
 import (
-	"sort"
+	"slices"
 
 	"oocnvm/internal/nvm"
 )
@@ -234,7 +234,6 @@ func (m *Media) maxSeq() int64 {
 
 // durState is the FTL's durable-metadata bookkeeping.
 type durState struct {
-	cfg       DurableConfig
 	ver       map[int64]uint64 // per-lpn write version, monotonic forever
 	buf       []rec            // journal records awaiting a page flush
 	perPage   int
@@ -307,18 +306,26 @@ func (f *FTL) flushJournal(ops []nvm.PageOp) []nvm.PageOp {
 	if f.dur == nil || len(f.dur.buf) == 0 {
 		return ops
 	}
-	buf := f.dur.buf
-	for len(buf) > 0 {
-		n := f.dur.perPage
-		if n > len(buf) {
-			n = len(buf)
-		}
-		recs := make([]rec, n)
-		copy(recs, buf[:n])
-		buf = buf[n:]
-		ops = append(ops, f.metaOp(metaPage{Kind: metaJournal, Recs: recs}))
-	}
+	ops = f.writeMeta(ops, metaJournal, f.dur.buf)
 	f.dur.buf = f.dur.buf[:0]
+	return ops
+}
+
+// writeMeta cuts recs into metadata pages of the given kind, at most
+// perPage records each, and appends their programs to ops. The pages hold
+// copies, so recs may be reused. Every page of a checkpoint group carries
+// the group's first sequence number, and its final page the Last marker.
+func (f *FTL) writeMeta(ops []nvm.PageOp, kind metaKind, recs []rec) []nvm.PageOp {
+	first := f.media.nextSeq
+	for len(recs) > 0 {
+		n := min(f.dur.perPage, len(recs))
+		pg := metaPage{Kind: kind, Recs: slices.Clone(recs[:n])}
+		recs = recs[n:]
+		if kind == metaCkpt {
+			pg.Ckpt, pg.Last = first, len(recs) == 0
+		}
+		ops = append(ops, f.metaOp(pg))
+	}
 	return ops
 }
 
@@ -355,51 +362,39 @@ func (f *FTL) checkpoint(ops []nvm.PageOp) []nvm.PageOp {
 		}
 		recs = append(recs, rec{Kind: recState, A: i, B: flags, V: uint64(s.wear)})
 	}
-	deads := make([]int64, 0, len(f.dead))
-	for lpn := range f.dead {
-		deads = append(deads, lpn)
-	}
-	sort.Slice(deads, func(i, j int) bool { return deads[i] < deads[j] })
-	for _, lpn := range deads {
+	for _, lpn := range sortedKeys(f.dead) {
 		recs = append(recs, rec{Kind: recDead, A: lpn})
 	}
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
+	for _, lpn := range sortedKeys(f.l2p) {
 		recs = append(recs, rec{Kind: recPlace, A: lpn, B: f.l2p[lpn], V: f.version(lpn)})
 	}
-	if f.dur != nil {
-		extra := make([]int64, 0)
-		for lpn, v := range f.dur.ver {
-			if v == 0 {
-				continue
-			}
-			if _, mapped := f.l2p[lpn]; !mapped {
-				extra = append(extra, lpn)
-			}
+	extra := make([]int64, 0)
+	for lpn, v := range f.dur.ver {
+		if v == 0 {
+			continue
 		}
-		sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-		for _, lpn := range extra {
-			recs = append(recs, rec{Kind: recVer, A: lpn, V: f.dur.ver[lpn]})
+		if _, mapped := f.l2p[lpn]; !mapped {
+			extra = append(extra, lpn)
 		}
 	}
-	first := f.media.nextSeq
-	for len(recs) > 0 {
-		n := f.dur.perPage
-		if n > len(recs) {
-			n = len(recs)
-		}
-		chunk := make([]rec, n)
-		copy(chunk, recs[:n])
-		recs = recs[n:]
-		ops = append(ops, f.metaOp(metaPage{
-			Kind: metaCkpt, Ckpt: first, Last: len(recs) == 0, Recs: chunk}))
+	slices.Sort(extra)
+	for _, lpn := range extra {
+		recs = append(recs, rec{Kind: recVer, A: lpn, V: f.dur.ver[lpn]})
 	}
+	ops = f.writeMeta(ops, metaCkpt, recs)
 	f.dur.sinceCkpt = 0
 	f.dur.ckptRuns++
 	f.probe.Count("ftl.ckpt.runs", 1)
 	return ops
+}
+
+// sortedKeys returns m's keys in ascending order, the logical-page order in
+// which checkpoints, recovery and DumpState walk the mapping state.
+func sortedKeys[V any](m map[int64]V) []int64 {
+	keys := make([]int64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -10,7 +10,6 @@
 package ftl
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -43,13 +42,12 @@ type FTL struct {
 	// and retirement could relocate stale identity data.
 	dead map[int64]bool
 
-	sb        []superblock
-	freeHeap  wearHeap // free superblocks ordered by wear (wear leveling)
-	active    int64    // currently filling superblock, -1 if none
-	writePtr  int64    // next page slot within the active superblock
-	inGC      bool     // guards against reentrant garbage collection
-	preloaded int64    // superblocks occupied by preloaded, identity-mapped data
-	exhausted bool     // a page found no free superblock; see Err
+	sb        []superblock // per-superblock state; its free flags are the free pool
+	active    int64        // currently filling superblock, -1 if none
+	writePtr  int64        // next page slot within the active superblock
+	inGC      bool         // guards against reentrant garbage collection
+	preloaded int64        // superblocks occupied by preloaded, identity-mapped data
+	exhausted bool         // a page found no free superblock; see Err
 
 	// Statistics.
 	gcRuns     int64
@@ -144,7 +142,9 @@ type superblock struct {
 	valid  int64
 	wear   int64
 	sealed bool
-	free   bool
+	// free marks an erased superblock the log may allocate. A grown-bad
+	// superblock is never free.
+	free bool
 	// bad marks a grown-bad superblock: retired from circulation after a
 	// program or erase failure, never allocated or collected again.
 	bad bool
@@ -184,11 +184,8 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 	}
 	f.spb = f.rowsz * f.ppb
 	f.sb = make([]superblock, f.super)
-	// Equal wear in ascending id order is already a heap.
-	f.freeHeap = make(wearHeap, f.super)
 	for i := range f.sb {
 		f.sb[i].free = true
-		f.freeHeap[i] = wearEntry{id: int64(i)}
 	}
 	if cfg.Durable.Enabled {
 		d := cfg.Durable
@@ -202,7 +199,6 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 			d.JournalEntriesPerPage = 16
 		}
 		f.dur = &durState{
-			cfg:       d,
 			ver:       make(map[int64]uint64),
 			perPage:   d.JournalEntriesPerPage,
 			ckptEvery: d.CheckpointEveryPages,
@@ -242,18 +238,9 @@ func (f *FTL) Preload(bytes int64) error {
 		return fmt.Errorf("ftl: preload of %d bytes needs %d superblocks, only %d available",
 			bytes, supers, f.super-gcReserve)
 	}
-	// Rebuild the free heap without the preloaded superblocks.
-	f.freeHeap = f.freeHeap[:0]
-	for i := int64(0); i < f.super; i++ {
-		if i < supers {
-			f.sb[i] = superblock{valid: f.spb, sealed: true}
-			continue
-		}
-		if f.sb[i].free {
-			f.freeHeap = append(f.freeHeap, wearEntry{id: i, wear: f.sb[i].wear})
-		}
+	for i := int64(0); i < supers; i++ {
+		f.sb[i] = superblock{valid: f.spb, sealed: true}
 	}
-	heap.Init(&f.freeHeap)
 	f.preloaded = supers
 	if f.dur != nil {
 		// The identity-mapped dataset is durable content: version 0 pages
@@ -377,17 +364,7 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 			}
 		}
 	}
-	// Invalidate the previous version.
-	old, had := f.l2p[lpn]
-	if had {
-		f.sb[f.superOf(old)].valid--
-		delete(f.p2l, old)
-	} else if lpn < f.preloaded*f.spb && !f.dead[lpn] {
-		// Overwriting identity-mapped preloaded data; the identity slot is
-		// dead from here on.
-		f.sb[f.superOf(lpn)].valid--
-		f.dead[lpn] = true
-	}
+	f.unmap(lpn)
 	ppn := f.active*f.spb + f.writePtr
 	f.writePtr++
 	f.l2p[lpn] = ppn
@@ -411,21 +388,44 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 	return ops
 }
 
-// allocSuperblock takes the least-worn free superblock, skipping stale heap
-// entries for superblocks that have since grown bad. It reports false when
-// none is left.
-func (f *FTL) allocSuperblock() (int64, bool) {
-	for f.freeHeap.Len() > 0 {
-		e := heap.Pop(&f.freeHeap).(wearEntry)
-		if f.sb[e.id].bad {
-			continue
-		}
-		f.sb[e.id].free = false
-		f.sb[e.id].sealed = false
-		f.sb[e.id].valid = 0
-		return e.id, true
+// unmap drops lpn's current copy, a mapped page or a live preloaded identity
+// slot, and reports whether there was one. It is the only place a
+// superblock's valid count falls.
+func (f *FTL) unmap(lpn int64) bool {
+	if ppn, ok := f.l2p[lpn]; ok {
+		f.sb[f.superOf(ppn)].valid--
+		delete(f.p2l, ppn)
+		delete(f.l2p, lpn)
+		return true
 	}
-	return 0, false
+	if f.identityLive(lpn) {
+		f.sb[f.superOf(lpn)].valid--
+		f.dead[lpn] = true
+		return true
+	}
+	return false
+}
+
+// identityLive reports whether lpn's preloaded data still lives in its
+// identity slot: never overwritten, trimmed or relocated.
+func (f *FTL) identityLive(lpn int64) bool {
+	return lpn < f.preloaded*f.spb && !f.dead[lpn]
+}
+
+// allocSuperblock takes the free superblock with the least wear, the lowest
+// id among equals (wear leveling). It reports false when none is left.
+func (f *FTL) allocSuperblock() (int64, bool) {
+	id := int64(-1)
+	for i := range f.sb {
+		if f.sb[i].free && (id < 0 || f.sb[i].wear < f.sb[id].wear) {
+			id = int64(i)
+		}
+	}
+	if id < 0 {
+		return 0, false
+	}
+	f.sb[id] = superblock{wear: f.sb[id].wear}
+	return id, true
 }
 
 // Err reports why the FTL takes no more writes: the wrapped
@@ -443,16 +443,15 @@ func (f *FTL) Err() error {
 
 // maybeGC reclaims sealed superblocks until the free pool meets the reserve.
 // It refuses to run reentrantly: collect's relocation programs call back
-// into program, and a nested GC round could pick a victim an outer round is
-// still collecting — the victim would be pushed onto the free heap twice and
-// later be the active log twice, overwriting live pages.
+// into program, and a nested GC round could pick the victim an outer round
+// is still relocating out of, and erase it under pages not yet moved.
 func (f *FTL) maybeGC(ops []nvm.PageOp) []nvm.PageOp {
 	if f.inGC {
 		return ops
 	}
 	f.inGC = true
 	defer func() { f.inGC = false }()
-	for f.freeHeap.Len() < gcReserve {
+	for f.usableFree() < gcReserve {
 		victim := f.pickVictim()
 		if victim < 0 {
 			break // nothing reclaimable
@@ -503,34 +502,19 @@ func (f *FTL) pickVictim() int64 {
 func (f *FTL) collect(ops []nvm.PageOp, victim int64) []nvm.PageOp {
 	f.gcRuns++
 	f.probe.Count("ftl.gc.runs", 1)
-	relocatedBefore := f.relocated
 	start := len(ops)
-	base := victim * f.spb
-	for p := base; p < base+f.spb; p++ {
-		lpn, ok := f.p2l[p]
-		if !ok {
-			continue
-		}
-		// Read the stale location, then program into the active log.
-		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(p), PPN: p})
-		f.relocated++
-		delete(f.p2l, p)
-		f.sb[victim].valid--
-		delete(f.l2p, lpn)
-		// Re-program through the normal path (may not recurse into GC since
-		// the active superblock has room or a free one exists).
-		ops = f.program(ops, lpn, false)
-	}
+	ops, moved := f.relocate(ops, victim)
 	// Erase every eraseblock of the superblock: one per die-plane.
+	base := victim * f.spb
 	for r := int64(0); r < f.rowsz; r++ {
 		ops = append(ops, nvm.PageOp{Op: nvm.OpErase, Loc: f.Locate(base + r), PPN: base + r})
 	}
-	f.sb[victim].wear++
-	f.sb[victim].free = true
-	f.sb[victim].sealed = false
-	heap.Push(&f.freeHeap, wearEntry{id: victim, wear: f.sb[victim].wear})
-	ops = f.appendRec(ops, rec{Kind: recErase, A: victim, V: uint64(f.sb[victim].wear)})
-	f.probe.Count("ftl.gc.relocated_pages", f.relocated-relocatedBefore)
+	s := &f.sb[victim]
+	s.wear++
+	s.free = true
+	s.sealed = false
+	ops = f.appendRec(ops, rec{Kind: recErase, A: victim, V: uint64(s.wear)})
+	f.probe.Count("ftl.gc.relocated_pages", moved)
 	f.probe.Count("ftl.gc.erases", f.rowsz)
 	// Everything this collection emitted — relocation reads, the programs
 	// they re-entered through the normal log path (program cannot recurse
@@ -540,6 +524,29 @@ func (f *FTL) collect(ops []nvm.PageOp, victim int64) []nvm.PageOp {
 		ops[i].GC = true
 	}
 	return ops
+}
+
+// relocate moves superblock v's valid pages, mapped or preloaded identity,
+// into the log: a read of each, then a program through the normal write
+// path, whose unmap invalidates the old copy. It reports how many pages
+// moved.
+func (f *FTL) relocate(ops []nvm.PageOp, v int64) ([]nvm.PageOp, int64) {
+	moved := int64(0)
+	base := v * f.spb
+	for p := base; p < base+f.spb; p++ {
+		lpn, mapped := f.p2l[p]
+		if !mapped {
+			if !f.identityLive(p) {
+				continue
+			}
+			lpn = p
+		}
+		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(p), PPN: p})
+		moved++
+		ops = f.program(ops, lpn, false)
+	}
+	f.relocated += moved
+	return ops, moved
 }
 
 // Stats reports FTL activity counters.
@@ -592,12 +599,11 @@ func (f *FTL) RegisterSeries(ts *timeseries.Sampler) {
 	}
 }
 
-// usableFree counts free superblocks still fit for allocation (the heap may
-// hold stale entries for superblocks that grew bad while free).
+// usableFree counts the superblocks the log may allocate.
 func (f *FTL) usableFree() int {
 	n := 0
-	for _, e := range f.freeHeap {
-		if !f.sb[e.id].bad {
+	for i := range f.sb {
+		if f.sb[i].free {
 			n++
 		}
 	}
@@ -617,20 +623,17 @@ func (f *FTL) RetireBlock(ppn int64) nvm.Retirement {
 	if s.bad {
 		return nvm.Retirement{OK: true}
 	}
-	// The relocation target space is the free pool (excluding the victim
-	// itself, which may still be sitting in it) plus the unwritten tail of
-	// the active superblock (unless that is the one being retired). Refusing
-	// when the victim's valid pages exceed it — or when nothing writable
-	// would remain at all — keeps allocSuperblock from ever hitting an empty
-	// pool mid-relocation and stops the device retiring its last blocks.
-	room := int64(0)
-	for _, e := range f.freeHeap {
-		if !f.sb[e.id].bad && e.id != v {
-			room += f.spb
-		}
-	}
-	if f.active >= 0 && v != f.active {
-		room += f.spb - f.writePtr
+	// The relocation target space is the log's room less the victim's own
+	// share of it: its whole superblock if it is free, or its unwritten tail
+	// if it is the active one. Refusing when the victim's valid pages exceed
+	// it — or when nothing writable would remain at all — keeps
+	// allocSuperblock from ever hitting an empty pool mid-relocation and
+	// stops the device retiring its last blocks.
+	room := f.room()
+	if s.free {
+		room -= f.spb
+	} else if v == f.active {
+		room -= f.spb - f.writePtr
 	}
 	// Demand a full superblock of slack beyond the relocated pages: retiring
 	// into exactly-fitting space leaves the log nowhere to cycle its active
@@ -657,27 +660,11 @@ func (f *FTL) RetireBlock(ppn int64) nvm.Retirement {
 		f.dur.buf = append(f.dur.buf, rec{Kind: recRetire, A: v})
 		ops = f.flushJournal(ops)
 	}
-	base := v * f.spb
-	pre := f.preloaded * f.spb
-	for p := base; p < base+f.spb; p++ {
-		lpn, mapped := f.p2l[p]
-		if !mapped {
-			if p >= pre || f.dead[p] {
-				continue
-			}
-			lpn = p // still-valid identity-mapped preloaded page
-		}
-		ops = append(ops, nvm.PageOp{Op: nvm.OpRead, Loc: f.Locate(p), PPN: p})
-		f.relocated++
-		f.probe.Count("ftl.retire.relocated_pages", 1)
-		if mapped {
-			delete(f.p2l, p)
-			delete(f.l2p, lpn)
-			s.valid--
-		}
-		// program() handles the identity-slot invalidation for preloaded
-		// pages and appends the new copy to the log.
-		ops = f.program(ops, lpn, false)
+	// Relocation's programs may collect first; GC never picks a bad
+	// superblock, so it leaves the victim's pages where they are.
+	ops, moved := f.relocate(ops, v)
+	if moved > 0 {
+		f.probe.Count("ftl.retire.relocated_pages", moved)
 	}
 	return nvm.Retirement{Ops: ops, Retired: true, OK: true}
 }
@@ -699,30 +686,4 @@ func (f *FTL) MaxWear() int64 {
 		}
 	}
 	return m
-}
-
-// --- wear-ordered free heap --------------------------------------------
-
-type wearEntry struct {
-	id   int64
-	wear int64
-}
-
-type wearHeap []wearEntry
-
-func (h wearHeap) Len() int { return len(h) }
-func (h wearHeap) Less(i, j int) bool {
-	if h[i].wear != h[j].wear {
-		return h[i].wear < h[j].wear
-	}
-	return h[i].id < h[j].id
-}
-func (h wearHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *wearHeap) Push(x interface{}) { *h = append(*h, x.(wearEntry)) }
-func (h *wearHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

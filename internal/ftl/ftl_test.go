@@ -1,9 +1,12 @@
 package ftl
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"oocnvm/internal/nvm"
+	"oocnvm/internal/sim"
 )
 
 // smallGeo keeps superblocks tiny so GC paths are cheap to exercise:
@@ -368,5 +371,102 @@ func TestStatsReportGrownBad(t *testing.T) {
 	}
 	if after.FreeSuper != before.FreeSuper-1 {
 		t.Fatalf("FreeSuper %d -> %d, want one fewer", before.FreeSuper, after.FreeSuper)
+	}
+}
+
+// reserveEdge builds a drive of six 1,024-page superblocks whose log has just
+// filled superblock 3, leaving 4 and 5 free, and then retires free
+// superblock 5. One usable free superblock is left, below gcReserve, while
+// superblock 0 holds 512 stale pages that GC can reclaim.
+func reserveEdge(t *testing.T) *FTL {
+	t.Helper()
+	f, err := New(nvm.Geometry{Channels: 2, PackagesPerChannel: 2, DiesPerPackage: 1, BlocksPerPlane: 6},
+		nvm.Params(nvm.MLC), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.super != 6 || f.spb != 1024 {
+		t.Fatalf("geometry gives %d superblocks of %d pages, want 6 of 1024", f.super, f.spb)
+	}
+	ps := f.PageSize()
+	f.Write(0, 3*f.spb*ps)
+	f.Write(0, 512*ps)
+	f.Write(3*f.spb*ps, 512*ps)
+	if f.active != 3 || f.writePtr != f.spb || !f.sb[4].free || !f.sb[5].free {
+		t.Fatalf("set-up left active=%d writePtr=%d, free 4=%v 5=%v",
+			f.active, f.writePtr, f.sb[4].free, f.sb[5].free)
+	}
+	if r := f.RetireBlock(5 * f.spb); !r.Retired {
+		t.Fatalf("retiring free superblock 5: %+v", r)
+	}
+	if st := f.Stats(); st.GCRuns != 0 || st.FreeSuper != 1 {
+		t.Fatalf("set-up stats %+v, want no GC and one free superblock", st)
+	}
+	return f
+}
+
+// TestGCReserveCountsOnlyUsableFree pins that a superblock retired while
+// free no longer counts toward the GC reserve. When it did, GC stayed idle
+// below the reserve and a drive with reclaimable space ran out of free
+// superblocks.
+func TestGCReserveCountsOnlyUsableFree(t *testing.T) {
+	t.Run("seal below reserve collects", func(t *testing.T) {
+		f := reserveEdge(t)
+		f.Write(4*f.spb*f.PageSize(), f.PageSize())
+		if got := f.Stats().GCRuns; got != 1 {
+			t.Fatalf("sealing superblock 3 with one usable free superblock ran %d GCs, want 1", got)
+		}
+		checkInvariants(t, f)
+	})
+	t.Run("overwrites keep running", func(t *testing.T) {
+		f := reserveEdge(t)
+		const passes = 20
+		for pass := 1; pass <= passes; pass++ {
+			f.Write(0, 512*f.PageSize())
+			if err := f.Err(); err != nil {
+				t.Fatalf("pass %d: %v after %d GC runs", pass, err, f.Stats().GCRuns)
+			}
+		}
+		if got := f.Stats().GCRuns; got != passes {
+			t.Fatalf("%d passes ran %d GCs, want one each", passes, got)
+		}
+		checkInvariants(t, f)
+	})
+}
+
+// TestAllocTakesLeastWornLowestID pins the wear-leveling policy over random
+// wear: the log allocates free superblocks in (wear, id) order and never one
+// that is allocated or grown bad.
+func TestAllocTakesLeastWornLowestID(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 50; trial++ {
+		f, err := New(nvm.Geometry{Channels: 2, PackagesPerChannel: 1, DiesPerPackage: 1, BlocksPerPlane: 64},
+			nvm.Params(nvm.SLC), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int64
+		for i := range f.sb {
+			s := &f.sb[i]
+			s.wear = rng.Int63n(4) // few values, so ties are common
+			switch rng.Intn(4) {
+			case 0:
+				s.free = false // allocated
+			case 1:
+				s.free, s.bad = false, true
+			default:
+				want = append(want, int64(i))
+			}
+		}
+		slices.SortStableFunc(want, func(a, b int64) int { return cmp.Compare(f.sb[a].wear, f.sb[b].wear) })
+		for n, id := range want {
+			got, ok := f.allocSuperblock()
+			if !ok || got != id {
+				t.Fatalf("trial %d: allocation %d took %d (ok %v), want %d", trial, n, got, ok, id)
+			}
+		}
+		if id, ok := f.allocSuperblock(); ok {
+			t.Fatalf("trial %d: allocated %d with no free superblock left", trial, id)
+		}
 	}
 }

@@ -53,9 +53,9 @@ func checkInvariants(t *testing.T, f *FTL) {
 			t.Fatalf("write pointer %d outside superblock", f.writePtr)
 		}
 	}
-	for _, e := range f.freeHeap {
-		if f.sb[e.id].bad && f.sb[e.id].free {
-			t.Fatalf("grown-bad superblock %d still marked free", e.id)
+	for v := range f.sb {
+		if f.sb[v].bad && f.sb[v].free {
+			t.Fatalf("grown-bad superblock %d still marked free", v)
 		}
 	}
 }

@@ -1,10 +1,9 @@
 package ftl
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"oocnvm/internal/fault"
@@ -62,7 +61,7 @@ type RecoveryReport struct {
 // superblock's per-page OOB (LPN, version) tags to reconstruct mappings
 // the journal had not yet flushed, classifies torn pages via the ECC
 // ladder, validates every mapping against the media, and rebuilds
-// p2l/valid counts/the wear heap from scratch.
+// p2l, valid counts and free flags from scratch.
 //
 // A committed-but-unreadable journal page breaks the chain's trust: the
 // FTL then salvages what a full-media OOB scan can prove (highest version
@@ -104,7 +103,8 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 			starts = append(starts, pg.Ckpt)
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] > starts[j] })
+	slices.Sort(starts)
+	slices.Reverse(starts)
 	ckptFirst, ckptLast := int64(-1), int64(-1)
 	for _, first := range starts {
 		last := int64(-1)
@@ -175,7 +175,6 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 	// erase did land.
 	if f.active >= 0 {
 		base := f.active * f.spb
-		prePages := f.preloaded * f.spb
 		for slot := int64(0); slot < f.spb; slot++ {
 			ppn := base + slot
 			rep.ScannedPages++
@@ -199,7 +198,7 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 				if mapped && cur != ppn {
 					prev[lpn] = superseded{ppn: cur, ver: f.dur.ver[lpn]}
 				}
-				if lpn < prePages && !mapped && !f.dead[lpn] {
+				if !mapped && f.identityLive(lpn) {
 					f.dead[lpn] = true
 				}
 				f.l2p[lpn] = ppn
@@ -217,12 +216,7 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 	// version, and it is still untorn on media (erasing it would have
 	// required GC work past the tear). Only when no durable copy exists —
 	// data that was never acknowledged — is the mapping dropped.
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
+	for _, lpn := range sortedKeys(f.l2p) {
 		if got, ok := m.data[f.l2p[lpn]]; ok && got.LPN == lpn {
 			continue
 		}
@@ -260,13 +254,12 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 	case recActive, recAlloc:
 		f.active = r.A
 	case recPlace:
-		if old, had := f.l2p[r.A]; had && prev != nil && old != r.B {
+		old, had := f.l2p[r.A]
+		if had && prev != nil && old != r.B {
 			prev[r.A] = superseded{ppn: old, ver: f.dur.ver[r.A]}
 		}
-		if r.A < f.preloaded*f.spb {
-			if _, had := f.l2p[r.A]; !had && !f.dead[r.A] {
-				f.dead[r.A] = true
-			}
+		if !had && f.identityLive(r.A) {
+			f.dead[r.A] = true
 		}
 		f.l2p[r.A] = r.B
 		if r.V > f.dur.ver[r.A] {
@@ -304,27 +297,21 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 }
 
 // rebuild reconstructs everything derivable — p2l, valid counts, free
-// flags, the wear heap — from the validated mapping and the media
-// residue, then seals the log (the next write allocates a fresh
-// superblock and, with sinceCkpt saturated, checkpoints immediately,
-// fencing off any sequence gap the cut left in the journal).
+// flags — from the validated mapping and the media residue, then seals the
+// log (the next write allocates a fresh superblock and, with sinceCkpt
+// saturated, checkpoints immediately, fencing off any sequence gap the cut
+// left in the journal).
 func (f *FTL) rebuild(m *Media) {
 	for ppn := range f.p2l {
 		delete(f.p2l, ppn)
 	}
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
 	valid := make([]int64, f.super)
-	for _, lpn := range lpns {
-		ppn := f.l2p[lpn]
+	for lpn, ppn := range f.l2p {
 		f.p2l[ppn] = lpn
 		valid[ppn/f.spb]++
 	}
 	for p := int64(0); p < f.preloaded*f.spb; p++ {
-		if _, mapped := f.l2p[p]; !mapped && !f.dead[p] {
+		if _, mapped := f.l2p[p]; !mapped && f.identityLive(p) {
 			valid[p/f.spb]++
 		}
 	}
@@ -340,7 +327,6 @@ func (f *FTL) rebuild(m *Media) {
 		}
 	}
 	f.grownBad = 0
-	f.freeHeap = f.freeHeap[:0]
 	for i := int64(0); i < f.super; i++ {
 		s := &f.sb[i]
 		s.valid = valid[i]
@@ -353,7 +339,6 @@ func (f *FTL) rebuild(m *Media) {
 		s.free = residue[i] == 0 && valid[i] == 0 && i >= f.preloaded
 		if s.free {
 			s.sealed = false
-			heap.Push(&f.freeHeap, wearEntry{id: i, wear: s.wear})
 		}
 	}
 	f.active = -1
@@ -396,7 +381,7 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 			ppns = append(ppns, ppn)
 		}
 	}
-	sort.Slice(ppns, func(i, j int) bool { return ppns[i] < ppns[j] })
+	slices.Sort(ppns)
 	for _, ppn := range ppns {
 		rep.ScannedPages++
 		oob := m.data[ppn]
@@ -431,14 +416,14 @@ func (f *FTL) Mapping(lpn int64) (ppn int64, ver uint64, ok bool) {
 	if p, mapped := f.l2p[lpn]; mapped {
 		return p, f.version(lpn), true
 	}
-	if lpn < f.preloaded*f.spb && !f.dead[lpn] {
+	if f.identityLive(lpn) {
 		return lpn, f.version(lpn), true
 	}
 	return 0, f.version(lpn), false
 }
 
 // DumpState renders the FTL's complete logical state deterministically —
-// mappings with versions, dead slots, per-superblock state, the free heap
+// mappings with versions, dead slots, per-superblock state, the free pool
 // — so tests can assert that same seed + same crash point recover to
 // byte-identical state.
 func (f *FTL) DumpState() string {
@@ -450,26 +435,16 @@ func (f *FTL) DumpState() string {
 		fmt.Fprintf(&b, "sb %d: valid=%d wear=%d sealed=%v free=%v bad=%v\n",
 			i, s.valid, s.wear, s.sealed, s.free, s.bad)
 	}
-	lpns := make([]int64, 0, len(f.l2p))
-	for lpn := range f.l2p {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
+	for _, lpn := range sortedKeys(f.l2p) {
 		fmt.Fprintf(&b, "map %d -> %d v%d\n", lpn, f.l2p[lpn], f.version(lpn))
 	}
-	deads := make([]int64, 0, len(f.dead))
-	for lpn := range f.dead {
-		deads = append(deads, lpn)
-	}
-	sort.Slice(deads, func(i, j int) bool { return deads[i] < deads[j] })
-	for _, lpn := range deads {
+	for _, lpn := range sortedKeys(f.dead) {
 		fmt.Fprintf(&b, "dead %d\n", lpn)
 	}
-	free := append(wearHeap(nil), f.freeHeap...)
-	sort.Slice(free, func(i, j int) bool { return free[i].id < free[j].id })
-	for _, e := range free {
-		fmt.Fprintf(&b, "free %d wear=%d\n", e.id, e.wear)
+	for i, s := range f.sb {
+		if s.free {
+			fmt.Fprintf(&b, "free %d wear=%d\n", i, s.wear)
+		}
 	}
 	return b.String()
 }

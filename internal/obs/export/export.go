@@ -8,6 +8,7 @@
 package export
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -192,22 +193,28 @@ func (f *Flags) StartProfiles() (stop func() error, err error) {
 				return err
 			}
 		}
-		if f.MemProfile != "" {
-			mf, err := os.Create(f.MemProfile)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // settle allocations so the heap profile is stable
-			if err := pprof.Lookup("allocs").WriteTo(mf, 0); err != nil {
-				mf.Close()
-				return err
-			}
-			if err := mf.Close(); err != nil {
-				return err
-			}
+		if f.MemProfile == "" {
+			return nil
 		}
-		return nil
+		return WriteFile(f.MemProfile, func(w io.Writer) error {
+			runtime.GC() // settle allocations so the heap profile is stable
+			return pprof.Lookup("allocs").WriteTo(w, 0)
+		})
 	}, nil
+}
+
+// WriteFile creates path and fills it with write. The file is closed on
+// every path; the first error from create, write or close is returned.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReportCSVPath derives the series-CSV path from the report path:
@@ -233,17 +240,24 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 		snap = col.Reg.Snapshot()
 		obs.WriteStageTable(w, snap)
 		if f.TraceOut != "" {
-			if err := col.WriteTraceFile(f.TraceOut); err != nil {
+			if col.Tr == nil {
+				return errors.New("obs: collector has no tracer")
+			}
+			if err := WriteFile(f.TraceOut, col.Tr.WriteChromeJSON); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "trace written to %s (%d spans, %d dropped)\n",
 				f.TraceOut, col.Tr.Len(), col.Tr.Dropped())
 		}
-		if f.MetricsOut != "" {
-			if err := col.WriteMetricsFile(f.MetricsOut); err != nil {
+		if out := f.MetricsOut; out != "" {
+			write := col.Reg.WriteJSON
+			if strings.HasSuffix(out, ".csv") {
+				write = col.Reg.WriteCSV
+			}
+			if err := WriteFile(out, write); err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "metrics written to %s\n", f.MetricsOut)
+			fmt.Fprintf(w, "metrics written to %s\n", out)
 		}
 	}
 	var sum attrib.Summary
@@ -256,15 +270,7 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 			fmt.Fprint(w, sum.FormatTable())
 		}
 		if f.AttribOut != "" {
-			af, err := os.Create(f.AttribOut)
-			if err != nil {
-				return err
-			}
-			if err := sum.WriteCSV(af); err != nil {
-				af.Close()
-				return err
-			}
-			if err := af.Close(); err != nil {
+			if err := WriteFile(f.AttribOut, sum.WriteCSV); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "attribution written to %s (%d exemplars)\n", f.AttribOut, len(sum.Exemplars))
@@ -276,20 +282,11 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 			fmt.Fprint(w, info.Host.FormatTable())
 		}
 		if out := f.HostPerfOut; out != "" {
-			hf, err := os.Create(out)
-			if err != nil {
-				return err
-			}
+			write := info.Host.WriteJSON
 			if strings.HasSuffix(out, ".csv") {
-				err = info.Host.WriteCSV(hf)
-			} else {
-				err = info.Host.WriteJSON(hf)
+				write = info.Host.WriteCSV
 			}
-			if err != nil {
-				hf.Close()
-				return err
-			}
-			if err := hf.Close(); err != nil {
+			if err := WriteFile(out, write); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "host performance written to %s\n", out)
@@ -300,32 +297,19 @@ func (f *Flags) Write(w io.Writer, col *obs.Collector, samp *timeseries.Sampler,
 		if samp != nil {
 			dump = samp.Dump()
 		}
-		hf, err := os.Create(f.ReportOut)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteHTML(hf, info, snap, dump); err != nil {
-			hf.Close()
-			return err
-		}
-		if err := hf.Close(); err != nil {
+		if err := WriteFile(f.ReportOut, func(hw io.Writer) error {
+			return report.WriteHTML(hw, info, snap, dump)
+		}); err != nil {
 			return err
 		}
 		csvPath := ReportCSVPath(f.ReportOut)
-		cf, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if samp != nil {
-			if err := samp.WriteCSV(cf); err != nil {
-				cf.Close()
-				return err
+		if err := WriteFile(csvPath, func(cw io.Writer) error {
+			if samp != nil {
+				return samp.WriteCSV(cw)
 			}
-		} else if _, err := fmt.Fprintln(cf, "series,kind,t_ps,value"); err != nil {
-			cf.Close()
+			_, err := fmt.Fprintln(cw, "series,kind,t_ps,value")
 			return err
-		}
-		if err := cf.Close(); err != nil {
+		}); err != nil {
 			return err
 		}
 		n := 0

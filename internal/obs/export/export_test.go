@@ -392,6 +392,22 @@ func TestWriteHostPerfInvalidPathErrors(t *testing.T) {
 	}
 }
 
+// TestWriteTraceWithoutTracerErrors pins that -trace-out on a collector
+// built without a tracer fails instead of writing an empty trace.
+func TestWriteTraceWithoutTracerErrors(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	f := Flags{TraceOut: path}
+	col := &obs.Collector{Reg: obs.NewRegistry()}
+	var out bytes.Buffer
+	err := f.Write(&out, col, nil, nil, nil, report.RunInfo{})
+	if err == nil || !strings.Contains(err.Error(), "no tracer") {
+		t.Fatalf("trace write without a tracer returned %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("trace file created without a tracer: %v", err)
+	}
+}
+
 // TestReportBytesIdenticalWithoutHost pins the acceptance criterion that
 // enabling the hostperf machinery in the binary changes nothing unless the
 // flag is set: a nil host collector must leave report bytes exactly as

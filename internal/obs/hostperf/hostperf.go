@@ -155,12 +155,13 @@ func (s *Summary) FormatTable() string {
 func writePhaseRow(w io.Writer, p PhaseCost) {
 	fmt.Fprintf(w, "%s\t%v\t%v\t%d\t%s\t%d\t%v\t%s\n",
 		p.Name, p.Wall.Round(time.Microsecond), p.CPU.Round(time.Microsecond),
-		p.AllocObjs, fmtBytes(p.AllocBytes), p.GCCycles,
-		p.GCPause.Round(time.Microsecond), fmtBytes(p.HeapBytes))
+		p.AllocObjs, FormatBytes(p.AllocBytes), p.GCCycles,
+		p.GCPause.Round(time.Microsecond), FormatBytes(p.HeapBytes))
 }
 
-// fmtBytes renders a byte count with a binary unit, one decimal.
-func fmtBytes(n uint64) string {
+// FormatBytes renders a byte count with a binary unit, one decimal, as the
+// host-cost table and the HTML report show it.
+func FormatBytes(n uint64) string {
 	switch {
 	case n >= 1<<30:
 		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))

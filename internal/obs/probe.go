@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"oocnvm/internal/sim"
@@ -90,22 +89,6 @@ func (c *Collector) Gauge(name string) *Gauge {
 	return c.Reg.Gauge(name)
 }
 
-// WriteTraceFile writes the tracer's Chrome trace JSON to path.
-func (c *Collector) WriteTraceFile(path string) error {
-	if c == nil || c.Tr == nil {
-		return fmt.Errorf("obs: collector has no tracer")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.Tr.WriteChromeJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // SyncTracerMetrics mirrors the tracer's span totals into the registry as
 // obs.trace.spans / obs.trace.dropped_spans, so a truncated trace is
 // detectable from the metrics export alone. Overwrite semantics: calling it
@@ -116,31 +99,6 @@ func (c *Collector) SyncTracerMetrics() {
 	}
 	c.Reg.Counter("obs.trace.spans").set(int64(c.Tr.Len()))
 	c.Reg.Counter("obs.trace.dropped_spans").set(c.Tr.Dropped())
-}
-
-// WriteMetricsFile writes the registry snapshot to path: CSV when the path
-// ends in ".csv", indented JSON otherwise. The tracer's span totals are
-// synced into the registry first (SyncTracerMetrics).
-func (c *Collector) WriteMetricsFile(path string) error {
-	if c == nil || c.Reg == nil {
-		return fmt.Errorf("obs: collector has no registry")
-	}
-	c.SyncTracerMetrics()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var werr error
-	if strings.HasSuffix(path, ".csv") {
-		werr = c.Reg.WriteCSV(f)
-	} else {
-		werr = c.Reg.WriteJSON(f)
-	}
-	if werr != nil {
-		f.Close()
-		return werr
-	}
-	return f.Close()
 }
 
 // FormatStageTable renders the snapshot's latency histograms as the

@@ -606,7 +606,7 @@ func writeHostPerf(b *strings.Builder, host *hostperf.Summary) {
 			html.EscapeString(p.Name),
 			html.EscapeString(p.Wall.Round(time.Microsecond).String()),
 			html.EscapeString(p.CPU.Round(time.Microsecond).String()),
-			p.AllocObjs, html.EscapeString(fmtByteCount(p.AllocBytes)),
+			p.AllocObjs, html.EscapeString(hostperf.FormatBytes(p.AllocBytes)),
 			p.GCCycles, html.EscapeString(p.GCPause.Round(time.Microsecond).String()))
 	}
 	for _, p := range host.Phases {
@@ -614,19 +614,6 @@ func writeHostPerf(b *strings.Builder, host *hostperf.Summary) {
 	}
 	row(host.Total)
 	b.WriteString("</table></section>\n")
-}
-
-// fmtByteCount renders a byte total with a binary unit, one decimal.
-func fmtByteCount(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", n)
 }
 
 func writeCounters(b *strings.Builder, snap obs.Snapshot) {

@@ -91,7 +91,7 @@ func (q *PAQ) dispatchBest() {
 // positional conflict anyway. Translator.Locations gives that mapping
 // without a read's side effects, so a probe counts as no map lookup.
 func (q *PAQ) cost(op trace.BlockOp) sim.Time {
-	q.locs = q.ssd.trans.Locations(op.Offset, minInt64(maxInt64(op.Size, 1), 8*q.ssd.trans.PageSize()), q.locs[:0])
+	q.locs = q.ssd.trans.Locations(op.Offset, min(max(op.Size, 1), 8*q.ssd.trans.PageSize()), q.locs[:0])
 	var worst sim.Time
 	for _, l := range q.locs {
 		if f := q.ssd.Dev.DieFreeAt(l.Channel, l.Die); f > worst {
@@ -99,18 +99,4 @@ func (q *PAQ) cost(op trace.BlockOp) sim.Time {
 		}
 	}
 	return worst
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
