@@ -44,9 +44,10 @@ fuzz:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x .
 
-# Quick subset of the figure benchmarks for CI smoke runs: proves they still
-# run without replaying every evaluation matrix.
-BENCH_SMOKE = Fig7aBandwidth|Fig10Breakdown|SimulatorPageThroughput|TelemetrySampling
+# Quick subset of the figure benchmarks, plus one durable write-GC cell for
+# the write path, for CI smoke runs: proves they still run without
+# replaying every evaluation matrix.
+BENCH_SMOKE = Fig7aBandwidth|Fig10Breakdown|SimulatorPageThroughput|TelemetrySampling|DurableWriteGC
 bench-smoke:
 	$(GO) test -run='^$$' -benchmem -benchtime=1x \
 		-bench='$(BENCH_SMOKE)' .

@@ -18,6 +18,7 @@ import (
 	"oocnvm/internal/dooc"
 	"oocnvm/internal/energy"
 	"oocnvm/internal/experiment"
+	"oocnvm/internal/fault"
 	"oocnvm/internal/fs"
 	"oocnvm/internal/interconnect"
 	"oocnvm/internal/linalg"
@@ -461,6 +462,33 @@ func BenchmarkSimulatorPageThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		drive.Submit(traceRead(int64(i)*req, req))
 	}
+}
+
+// BenchmarkDurableWriteGC measures the simulator's write path: one
+// CNL-EXT4/TLC cell with the options of bench/oocperf's write-gc-durable
+// workload. Eight applications write a 68%-full six-superblock drive, so
+// the FTL runs GC relocation, its journal and a checkpoint every 1,024
+// host pages, and every read of the worn cells needs ECC correction.
+func BenchmarkDurableWriteGC(b *testing.B) {
+	cfg, err := experiment.FindConfig("CNL-EXT4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := experiment.DefaultOptions()
+	opt.MeasureRemaining = false
+	opt.Workload.Applications = 8
+	opt.Workload.PsiBytes = 256 << 20
+	opt.Geometry.BlocksPerPlane = 6
+	opt.DurableCheckpointPages = 1024
+	if opt.Fault, err = fault.ForName("worn"); err != nil {
+		b.Fatal(err)
+	}
+	opt.Fault.ProgramFailProb, opt.Fault.EraseFailProb = 0, 0
+	var m experiment.Measurement
+	for i := 0; i < b.N; i++ {
+		m = runOne(b, cfg, nvm.TLC, opt)
+	}
+	reportMatrix(b, []experiment.Measurement{m}, experiment.Measurement.AchievedMBps, "MBps")
 }
 
 func traceRead(off, size int64) trace.BlockOp {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -345,15 +346,45 @@ func TestPoissonMean(t *testing.T) {
 		var sum float64
 		const n = 20000
 		for k := 0; k < n; k++ {
-			sum += float64(inj.poisson(lambda))
+			sum += float64(inj.poisson(lambda, math.Exp(-lambda)))
 		}
 		mean := sum / n
 		if mean < lambda*0.9 || mean > lambda*1.1 {
 			t.Fatalf("poisson(%v) mean %v over %d draws", lambda, mean, n)
 		}
 	}
-	if inj.poisson(0) != 0 || inj.poisson(-1) != 0 {
+	if inj.poisson(0, 1) != 0 || inj.poisson(-1, math.E) != 0 {
 		t.Fatal("poisson of non-positive lambda must be 0")
+	}
+}
+
+// TestRateMemoFollowsErase pins the per-block rate memo: a read takes the
+// block's rate from its current wear, an erase of the block forgets it,
+// and an injector that injects nothing never allocates the memo.
+func TestRateMemoFollowsErase(t *testing.T) {
+	prof, _ := ForName("worn")
+	inj, _ := New(testConfig(prof))
+	bits := float64(inj.ecc.CodewordBytes * 8)
+	const ppn = 9
+	block := inj.blockOf(ppn)
+	inj.ReadPage(ppn)
+	before := inj.rates[block]
+	if want := inj.rberOf(block) * bits; before.lambda != want || before.limit != math.Exp(-want) {
+		t.Fatalf("memo holds %+v, want lambda %v", before, want)
+	}
+	inj.OnErase(ppn)
+	if inj.rates[block].known {
+		t.Fatal("an erase kept the block's rate")
+	}
+	inj.ReadPage(ppn)
+	after := inj.rates[block]
+	if want := inj.rberOf(block) * bits; after.lambda != want || after.lambda == before.lambda {
+		t.Fatalf("after an erase the memo holds %+v, want lambda %v (was %v)", after, want, before.lambda)
+	}
+	off, _ := New(testConfig(Profile{}))
+	off.ReadPage(ppn)
+	if off.rates != nil {
+		t.Fatal("an injector that injects nothing allocated the rate memo")
 	}
 }
 

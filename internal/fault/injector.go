@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"oocnvm/internal/obs"
 	"oocnvm/internal/obs/timeseries"
@@ -71,6 +72,7 @@ type Injector struct {
 	gaussOK    bool
 
 	erases   map[int64]int64 // eraseblock -> erase count this run
+	rates    []blockRate     // eraseblock -> its error rate until its next erase
 	bad      map[int64]bool  // grown-bad eraseblocks (dedups failure reports)
 	pending  []Failure
 	pendUnc  int64 // uncorrectable pages since last TakeUncorrectable
@@ -182,6 +184,29 @@ func (i *Injector) rberOf(block int64) float64 {
 	return r
 }
 
+// blockRate is one eraseblock's error rate: lambda, the mean bit errors
+// per codeword, and limit, math.Exp(-lambda). known is false until a read
+// computes it and again after the block's next erase.
+type blockRate struct {
+	lambda, limit float64
+	known         bool
+}
+
+// rate returns the block's error rate, computing it on the block's first
+// read since its last erase. The memo grows to the highest block read, so
+// a drive that reads nothing pays nothing for it.
+func (i *Injector) rate(block int64) blockRate {
+	if n := len(i.rates); block >= int64(n) {
+		i.rates = slices.Grow(i.rates, int(block)+1-n)[:block+1]
+	}
+	r := &i.rates[block]
+	if !r.known {
+		lambda := i.rberOf(block) * float64(i.ecc.CodewordBytes*8)
+		*r = blockRate{lambda: lambda, limit: math.Exp(-lambda), known: true}
+	}
+	return *r
+}
+
 // ReadPage samples the error behavior of one page read and returns the
 // retry/uncorrectable verdict. The device charges the retry latency; the SSD
 // drains uncorrectable counts via TakeUncorrectable.
@@ -189,15 +214,14 @@ func (i *Injector) ReadPage(ppn int64) ReadResult {
 	if i.prof.BaseRBER <= 0 {
 		return ReadResult{}
 	}
-	block := i.blockOf(ppn)
-	lambda := i.rberOf(block) * float64(i.ecc.CodewordBytes*8)
+	r := i.rate(i.blockOf(ppn))
 	codewords := i.pageSize / i.ecc.CodewordBytes
 	if codewords < 1 {
 		codewords = 1
 	}
 	worst, total := 0, int64(0)
 	for c := int64(0); c < codewords; c++ {
-		e := i.poisson(lambda)
+		e := i.poisson(r.lambda, r.limit)
 		total += int64(e)
 		if e > worst {
 			worst = e
@@ -255,6 +279,9 @@ func (i *Injector) OnProgram(ppn int64) bool {
 func (i *Injector) OnErase(ppn int64) bool {
 	block := i.blockOf(ppn)
 	i.erases[block]++
+	if block < int64(len(i.rates)) {
+		i.rates[block].known = false
+	}
 	p := i.prof.opFailProb(i.prof.EraseFailProb, i.pe(block), i.endurance)
 	if p <= 0 || !i.rng.Bool(p) {
 		return false
@@ -342,12 +369,13 @@ func (i *Injector) Counts() Counts {
 // poisson draws a Poisson(lambda) variate from the injector's stream: Knuth
 // for small lambda, a rounded normal approximation beyond (the error counts
 // there are far above any ECC budget anyway, so the tail shape is moot).
-func (i *Injector) poisson(lambda float64) int {
+// limit is math.Exp(-lambda), which a caller drawing many variates at one
+// lambda computes once.
+func (i *Injector) poisson(lambda, limit float64) int {
 	if lambda <= 0 {
 		return 0
 	}
 	if lambda < 30 {
-		limit := math.Exp(-lambda)
 		k, p := 0, 1.0
 		for {
 			p *= i.rng.Float64()

@@ -211,12 +211,14 @@ func (f *profileFS) Transform(ops []trace.PosixOp) []trace.BlockOp {
 		}
 		f.probe.Count("fs.posix_ops", 1)
 		f.probe.Count("fs.block_ops", int64(len(out)-outBefore))
-		if f.probe.Enabled() {
-			t := sim.Time(f.seq) * sim.Microsecond
-			f.probe.Span(obs.LayerFS, f.p.Name, "translate", t, t+sim.Microsecond,
-				obs.Attr{Key: "in_bytes", Value: op.Size},
-				obs.Attr{Key: "out_ops", Value: int64(len(out) - outBefore)})
+		var attrs []obs.Attr
+		if f.probe.KeepsSpans() {
+			attrs = []obs.Attr{
+				{Key: "in_bytes", Value: op.Size},
+				{Key: "out_ops", Value: int64(len(out) - outBefore)}}
 		}
+		t := sim.Time(f.seq) * sim.Microsecond
+		f.probe.Span(obs.LayerFS, f.p.Name, "translate", t, t+sim.Microsecond, attrs...)
 		f.seq++
 	}
 	return out

@@ -157,12 +157,14 @@ func (g *gpfs) Transform(ops []trace.PosixOp) []trace.BlockOp {
 		}
 		g.probe.Count("fs.posix_ops", 1)
 		g.probe.Count("fs.block_ops", int64(len(out)-outBefore))
-		if g.probe.Enabled() {
-			t := sim.Time(g.seq) * sim.Microsecond
-			g.probe.Span(obs.LayerFS, "GPFS", "stripe", t, t+sim.Microsecond,
-				obs.Attr{Key: "in_bytes", Value: op.Size},
-				obs.Attr{Key: "out_ops", Value: int64(len(out) - outBefore)})
+		var attrs []obs.Attr
+		if g.probe.KeepsSpans() {
+			attrs = []obs.Attr{
+				{Key: "in_bytes", Value: op.Size},
+				{Key: "out_ops", Value: int64(len(out) - outBefore)}}
 		}
+		t := sim.Time(g.seq) * sim.Microsecond
+		g.probe.Span(obs.LayerFS, "GPFS", "stripe", t, t+sim.Microsecond, attrs...)
 		g.seq++
 	}
 	return out

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math"
 	"slices"
 
 	"oocnvm/internal/nvm"
@@ -16,6 +17,10 @@ type OOB struct {
 	LPN int64
 	Ver uint64
 }
+
+// noTag is the absent value of Media's OOB table: no program tags a data
+// page with it.
+var noTag = OOB{LPN: noPage, Ver: math.MaxUint64}
 
 // DurableConfig tunes the durable-metadata model: periodic full
 // mapping-table checkpoints plus an L2P delta journal, both written as
@@ -114,8 +119,8 @@ type Media struct {
 	rowsz int64
 	ppb   int64
 
-	data     map[int64]OOB      // committed data pages -> OOB tags
-	torn     map[int64]bool     // torn data pages (payload garbage)
+	data     table[OOB]         // committed data pages -> OOB tags
+	torn     table[bool]        // torn data pages (payload garbage)
 	staged   map[int64]metaPage // seq -> staged content awaiting program
 	meta     map[int64]metaPage // seq -> committed metadata page
 	tornMeta map[int64]bool     // seq -> torn metadata page
@@ -125,8 +130,7 @@ type Media struct {
 func newMedia(pages, spb, rowsz, ppb int64) *Media {
 	return &Media{
 		pages: pages, spb: spb, rowsz: rowsz, ppb: ppb,
-		data:     make(map[int64]OOB),
-		torn:     make(map[int64]bool),
+		data:     newTable(noTag),
 		staged:   make(map[int64]metaPage),
 		meta:     make(map[int64]metaPage),
 		tornMeta: make(map[int64]bool),
@@ -167,12 +171,12 @@ func (m *Media) MediaProgram(op nvm.PageOp, torn bool) {
 		return
 	}
 	if torn {
-		m.torn[op.PPN] = true
-		delete(m.data, op.PPN)
+		m.torn.set(op.PPN, true)
+		m.data.del(op.PPN)
 		return
 	}
-	delete(m.torn, op.PPN)
-	m.data[op.PPN] = OOB{LPN: op.LPN, Ver: op.Ver}
+	m.torn.del(op.PPN)
+	m.data.set(op.PPN, OOB{LPN: op.LPN, Ver: op.Ver})
 }
 
 // MediaErase implements nvm.MediaTap: clear the eraseblock holding
@@ -184,19 +188,21 @@ func (m *Media) MediaErase(op nvm.PageOp, torn bool) {
 	slot := op.PPN % m.rowsz
 	for k := int64(0); k < m.ppb; k++ {
 		p := base + k*m.rowsz + slot
-		delete(m.data, p)
-		delete(m.torn, p)
+		m.data.del(p)
+		m.torn.del(p)
 	}
 }
 
 // PageState reports the durable state of one data page: its OOB tags if
 // programmed, and whether a power cut tore it.
 func (m *Media) PageState(ppn int64) (oob OOB, programmed, torn bool) {
-	if m.torn[ppn] {
+	if m.torn.get(ppn) {
 		return OOB{}, false, true
 	}
-	oob, programmed = m.data[ppn]
-	return oob, programmed, false
+	if oob = m.data.get(ppn); oob == noTag {
+		return OOB{}, false, false
+	}
+	return oob, true, false
 }
 
 // MetaPages reports how many metadata pages have committed.
@@ -234,8 +240,9 @@ func (m *Media) maxSeq() int64 {
 
 // durState is the FTL's durable-metadata bookkeeping.
 type durState struct {
-	ver       map[int64]uint64 // per-lpn write version, monotonic forever
-	buf       []rec            // journal records awaiting a page flush
+	ver       table[uint64] // per-lpn write version, monotonic forever
+	buf       []rec         // journal records awaiting a page flush
+	ckpt      []rec         // the checkpoint's records, reused each time
 	perPage   int
 	ckptEvery int64
 	sinceCkpt int64
@@ -264,7 +271,7 @@ func (f *FTL) version(lpn int64) uint64 {
 	if f.dur == nil {
 		return 0
 	}
-	return f.dur.ver[lpn]
+	return f.dur.ver.get(lpn)
 }
 
 // metaOp stages one metadata page on the media and returns the device
@@ -348,8 +355,7 @@ func (f *FTL) maybeCheckpoint(ops []nvm.PageOp) []nvm.PageOp {
 // snapshot equal to a full replay).
 func (f *FTL) checkpoint(ops []nvm.PageOp) []nvm.PageOp {
 	ops = f.flushJournal(ops)
-	recs := make([]rec, 0, 2+len(f.l2p)+len(f.dead))
-	recs = append(recs, rec{Kind: recPreload, A: f.preloaded})
+	recs := append(f.dur.ckpt[:0], rec{Kind: recPreload, A: f.preloaded})
 	recs = append(recs, rec{Kind: recActive, A: f.active, B: f.writePtr})
 	for i := int64(0); i < f.super; i++ {
 		s := &f.sb[i]
@@ -362,39 +368,22 @@ func (f *FTL) checkpoint(ops []nvm.PageOp) []nvm.PageOp {
 		}
 		recs = append(recs, rec{Kind: recState, A: i, B: flags, V: uint64(s.wear)})
 	}
-	for _, lpn := range sortedKeys(f.dead) {
+	// The walks run in LPN order, the record order recovery replays.
+	f.dead.each(func(lpn int64, _ bool) {
 		recs = append(recs, rec{Kind: recDead, A: lpn})
-	}
-	for _, lpn := range sortedKeys(f.l2p) {
-		recs = append(recs, rec{Kind: recPlace, A: lpn, B: f.l2p[lpn], V: f.version(lpn)})
-	}
-	extra := make([]int64, 0)
-	for lpn, v := range f.dur.ver {
-		if v == 0 {
-			continue
+	})
+	f.l2p.each(func(lpn, ppn int64) {
+		recs = append(recs, rec{Kind: recPlace, A: lpn, B: ppn, V: f.dur.ver.get(lpn)})
+	})
+	f.dur.ver.each(func(lpn int64, v uint64) {
+		if !f.l2p.has(lpn) {
+			recs = append(recs, rec{Kind: recVer, A: lpn, V: v})
 		}
-		if _, mapped := f.l2p[lpn]; !mapped {
-			extra = append(extra, lpn)
-		}
-	}
-	slices.Sort(extra)
-	for _, lpn := range extra {
-		recs = append(recs, rec{Kind: recVer, A: lpn, V: f.dur.ver[lpn]})
-	}
+	})
+	f.dur.ckpt = recs
 	ops = f.writeMeta(ops, metaCkpt, recs)
 	f.dur.sinceCkpt = 0
 	f.dur.ckptRuns++
 	f.probe.Count("ftl.ckpt.runs", 1)
 	return ops
-}
-
-// sortedKeys returns m's keys in ascending order, the logical-page order in
-// which checkpoints, recovery and DumpState walk the mapping state.
-func sortedKeys[V any](m map[int64]V) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }

@@ -34,13 +34,13 @@ type FTL struct {
 	spb   int64 // pages per superblock: rowsz * ppb
 	super int64 // number of superblocks
 
-	l2p map[int64]int64 // overrides; absent means identity (preloaded layout)
-	p2l map[int64]int64 // reverse map for relocation
+	l2p table[int64] // overrides; absent means identity (preloaded layout)
+	p2l table[int64] // reverse map for relocation; absent means unmapped
 	// dead marks preloaded-region identity slots that are no longer valid
 	// (overwritten or trimmed). Without it a trim of an overwritten
 	// preloaded page would double-decrement the superblock's valid count,
 	// and retirement could relocate stale identity data.
-	dead map[int64]bool
+	dead table[bool]
 
 	sb        []superblock // per-superblock state; its free flags are the free pool
 	active    int64        // currently filling superblock, -1 if none
@@ -177,9 +177,8 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 		rowsz:  int64(geo.Channels * cell.Planes * geo.DiesPerChannel()),
 		ppb:    int64(cell.PagesPerBlock),
 		super:  int64(geo.BlocksPerPlane),
-		l2p:    make(map[int64]int64),
-		p2l:    make(map[int64]int64),
-		dead:   make(map[int64]bool),
+		l2p:    newTable[int64](noPage),
+		p2l:    newTable[int64](noPage),
 		active: -1,
 	}
 	f.spb = f.rowsz * f.ppb
@@ -199,7 +198,6 @@ func New(geo nvm.Geometry, cell nvm.CellParams, cfg Config) (*FTL, error) {
 			d.JournalEntriesPerPage = 16
 		}
 		f.dur = &durState{
-			ver:       make(map[int64]uint64),
 			perPage:   d.JournalEntriesPerPage,
 			ckptEvery: d.CheckpointEveryPages,
 		}
@@ -249,7 +247,7 @@ func (f *FTL) Preload(bytes int64) error {
 		// extent. Preload runs before the device exists, so the genesis
 		// page commits directly rather than riding a request.
 		for p := int64(0); p < supers*f.spb; p++ {
-			f.media.data[p] = OOB{LPN: p, Ver: 0}
+			f.media.data.set(p, OOB{LPN: p, Ver: 0})
 		}
 		f.media.commitDirect(metaPage{Kind: metaJournal,
 			Recs: []rec{{Kind: recPreload, A: supers}}})
@@ -270,7 +268,7 @@ func (f *FTL) lookup(lpn int64) int64 {
 // physical returns the physical page holding lpn, counting nothing, and
 // whether the map overrides the identity (preloaded) layout for it.
 func (f *FTL) physical(lpn int64) (int64, bool) {
-	if ppn, ok := f.l2p[lpn]; ok {
+	if ppn := f.l2p.get(lpn); ppn != noPage {
 		return ppn, true
 	}
 	return lpn, false
@@ -367,8 +365,8 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 	f.unmap(lpn)
 	ppn := f.active*f.spb + f.writePtr
 	f.writePtr++
-	f.l2p[lpn] = ppn
-	f.p2l[ppn] = lpn
+	f.l2p.set(lpn, ppn)
+	f.p2l.set(ppn, lpn)
 	if f.tap != nil {
 		f.tap.MapWrite(lpn, ppn)
 	}
@@ -377,11 +375,12 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 	f.probe.Count("ftl.nand_writes", 1)
 	var ver uint64
 	if f.dur != nil {
+		ver = f.dur.ver.get(lpn)
 		if host {
-			f.dur.ver[lpn]++
+			ver++
+			f.dur.ver.set(lpn, ver)
 			f.dur.sinceCkpt++
 		}
-		ver = f.dur.ver[lpn]
 		ops = f.appendRec(ops, rec{Kind: recPlace, A: lpn, B: ppn, V: ver})
 	}
 	ops = append(ops, nvm.PageOp{Op: nvm.OpProgram, Loc: f.Locate(ppn), PPN: ppn, LPN: lpn, Ver: ver})
@@ -392,15 +391,15 @@ func (f *FTL) program(ops []nvm.PageOp, lpn int64, host bool) []nvm.PageOp {
 // slot, and reports whether there was one. It is the only place a
 // superblock's valid count falls.
 func (f *FTL) unmap(lpn int64) bool {
-	if ppn, ok := f.l2p[lpn]; ok {
+	if ppn := f.l2p.get(lpn); ppn != noPage {
 		f.sb[f.superOf(ppn)].valid--
-		delete(f.p2l, ppn)
-		delete(f.l2p, lpn)
+		f.p2l.del(ppn)
+		f.l2p.del(lpn)
 		return true
 	}
 	if f.identityLive(lpn) {
 		f.sb[f.superOf(lpn)].valid--
-		f.dead[lpn] = true
+		f.dead.set(lpn, true)
 		return true
 	}
 	return false
@@ -409,7 +408,7 @@ func (f *FTL) unmap(lpn int64) bool {
 // identityLive reports whether lpn's preloaded data still lives in its
 // identity slot: never overwritten, trimmed or relocated.
 func (f *FTL) identityLive(lpn int64) bool {
-	return lpn < f.preloaded*f.spb && !f.dead[lpn]
+	return lpn < f.preloaded*f.spb && !f.dead.get(lpn)
 }
 
 // allocSuperblock takes the free superblock with the least wear, the lowest
@@ -534,8 +533,8 @@ func (f *FTL) relocate(ops []nvm.PageOp, v int64) ([]nvm.PageOp, int64) {
 	moved := int64(0)
 	base := v * f.spb
 	for p := base; p < base+f.spb; p++ {
-		lpn, mapped := f.p2l[p]
-		if !mapped {
+		lpn := f.p2l.get(p)
+		if lpn == noPage {
 			if !f.identityLive(p) {
 				continue
 			}

@@ -13,16 +13,19 @@ import (
 // superblock is sane.
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
-	if len(f.l2p) != len(f.p2l) {
-		t.Fatalf("map sizes diverge: l2p %d, p2l %d", len(f.l2p), len(f.p2l))
-	}
-	for lpn, ppn := range f.l2p {
-		if back, ok := f.p2l[ppn]; !ok || back != lpn {
-			t.Fatalf("l2p[%d]=%d but p2l[%d]=%d (present %v)", lpn, ppn, ppn, back, ok)
+	mapped, reverse := 0, 0
+	f.l2p.each(func(lpn, ppn int64) {
+		mapped++
+		if back := f.p2l.get(ppn); back != lpn {
+			t.Fatalf("l2p[%d]=%d but p2l[%d]=%d", lpn, ppn, ppn, back)
 		}
 		if f.sb[f.superOf(ppn)].bad {
 			t.Fatalf("lpn %d mapped onto grown-bad superblock %d", lpn, f.superOf(ppn))
 		}
+	})
+	f.p2l.each(func(int64, int64) { reverse++ })
+	if mapped != reverse {
+		t.Fatalf("map sizes diverge: l2p %d, p2l %d", mapped, reverse)
 	}
 	pre := f.preloaded * f.spb
 	for v := int64(0); v < f.super; v++ {
@@ -35,9 +38,9 @@ func checkInvariants(t *testing.T, f *FTL) {
 		}
 		want := int64(0)
 		for p := v * f.spb; p < (v+1)*f.spb; p++ {
-			if _, ok := f.p2l[p]; ok {
+			if f.p2l.has(p) {
 				want++
-			} else if p < pre && !f.dead[p] {
+			} else if p < pre && !f.dead.get(p) {
 				want++ // surviving identity-mapped preloaded page
 			}
 		}

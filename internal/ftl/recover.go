@@ -187,22 +187,24 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 				continue
 			}
 			lpn := oob.LPN
-			cur, mapped := f.l2p[lpn]
-			apply := oob.Ver > f.dur.ver[lpn]
-			if !apply && oob.Ver == f.dur.ver[lpn] && mapped && cur != ppn {
-				if got, ok := m.data[cur]; !ok || got.LPN != lpn {
+			cur := f.l2p.get(lpn)
+			mapped := cur != noPage
+			ver := f.dur.ver.get(lpn)
+			apply := oob.Ver > ver
+			if !apply && oob.Ver == ver && mapped && cur != ppn {
+				if got := m.data.get(cur); got.LPN != lpn {
 					apply = true
 				}
 			}
 			if apply {
 				if mapped && cur != ppn {
-					prev[lpn] = superseded{ppn: cur, ver: f.dur.ver[lpn]}
+					prev[lpn] = superseded{ppn: cur, ver: ver}
 				}
 				if !mapped && f.identityLive(lpn) {
-					f.dead[lpn] = true
+					f.dead.set(lpn, true)
 				}
-				f.l2p[lpn] = ppn
-				f.dur.ver[lpn] = oob.Ver
+				f.l2p.set(lpn, ppn)
+				f.dur.ver.set(lpn, oob.Ver)
 				rep.RecoveredMaps++
 			}
 		}
@@ -216,21 +218,21 @@ func Recover(geo nvm.Geometry, cell nvm.CellParams, cfg Config, m *Media) (*FTL,
 	// version, and it is still untorn on media (erasing it would have
 	// required GC work past the tear). Only when no durable copy exists —
 	// data that was never acknowledged — is the mapping dropped.
-	for _, lpn := range sortedKeys(f.l2p) {
-		if got, ok := m.data[f.l2p[lpn]]; ok && got.LPN == lpn {
-			continue
+	f.l2p.each(func(lpn, ppn int64) {
+		if got := m.data.get(ppn); got.LPN == lpn {
+			return
 		}
 		if pc, had := prev[lpn]; had {
-			if pg, ok := m.data[pc.ppn]; ok && pg.LPN == lpn && pg.Ver == pc.ver {
-				f.l2p[lpn] = pc.ppn
-				f.dur.ver[lpn] = pc.ver
+			if pg := m.data.get(pc.ppn); pg.LPN == lpn && pg.Ver == pc.ver {
+				f.l2p.set(lpn, pc.ppn)
+				f.dur.ver.set(lpn, pc.ver)
 				rep.RolledBackMaps++
-				continue
+				return
 			}
 		}
-		delete(f.l2p, lpn)
+		f.l2p.del(lpn)
 		rep.DroppedMaps++
-	}
+	})
 
 	f.rebuild(m)
 	f.finishReport(&rep, cell)
@@ -254,27 +256,24 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 	case recActive, recAlloc:
 		f.active = r.A
 	case recPlace:
-		old, had := f.l2p[r.A]
+		old := f.l2p.get(r.A)
+		had := old != noPage
 		if had && prev != nil && old != r.B {
-			prev[r.A] = superseded{ppn: old, ver: f.dur.ver[r.A]}
+			prev[r.A] = superseded{ppn: old, ver: f.dur.ver.get(r.A)}
 		}
 		if !had && f.identityLive(r.A) {
-			f.dead[r.A] = true
+			f.dead.set(r.A, true)
 		}
-		f.l2p[r.A] = r.B
-		if r.V > f.dur.ver[r.A] {
-			f.dur.ver[r.A] = r.V
-		}
+		f.l2p.set(r.A, r.B)
+		f.raiseVer(r.A, r.V)
 	case recTrim:
 		// The trim ends the page's history: no later placement may roll
 		// back to a copy displaced before it.
-		delete(f.l2p, r.A)
+		f.l2p.del(r.A)
 		delete(prev, r.A)
-		if r.V > f.dur.ver[r.A] {
-			f.dur.ver[r.A] = r.V
-		}
+		f.raiseVer(r.A, r.V)
 		if r.A < f.preloaded*f.spb {
-			f.dead[r.A] = true
+			f.dead.set(r.A, true)
 		}
 	case recSeal:
 		// Informational: recovery seals every superblock anyway.
@@ -288,11 +287,16 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 	case recRetire:
 		f.sb[r.A].bad = true
 	case recDead:
-		f.dead[r.A] = true
+		f.dead.set(r.A, true)
 	case recVer:
-		if r.V > f.dur.ver[r.A] {
-			f.dur.ver[r.A] = r.V
-		}
+		f.raiseVer(r.A, r.V)
+	}
+}
+
+// raiseVer lifts lpn's version to v, keeping versions monotonic.
+func (f *FTL) raiseVer(lpn int64, v uint64) {
+	if v > f.dur.ver.get(lpn) {
+		f.dur.ver.set(lpn, v)
 	}
 }
 
@@ -302,30 +306,25 @@ func (f *FTL) replayRec(r rec, rep *RecoveryReport, prev map[int64]superseded) {
 // saturated, checkpoints immediately, fencing off any sequence gap the cut
 // left in the journal).
 func (f *FTL) rebuild(m *Media) {
-	for ppn := range f.p2l {
-		delete(f.p2l, ppn)
-	}
+	f.p2l.reset()
 	valid := make([]int64, f.super)
-	for lpn, ppn := range f.l2p {
-		f.p2l[ppn] = lpn
+	f.l2p.each(func(lpn, ppn int64) {
+		f.p2l.set(ppn, lpn)
 		valid[ppn/f.spb]++
-	}
+	})
 	for p := int64(0); p < f.preloaded*f.spb; p++ {
-		if _, mapped := f.l2p[p]; !mapped && f.identityLive(p) {
+		if !f.l2p.has(p) && f.identityLive(p) {
 			valid[p/f.spb]++
 		}
 	}
 	residue := make([]int64, f.super)
-	for ppn := range m.data {
+	count := func(ppn int64) {
 		if ppn < f.Pages() {
 			residue[ppn/f.spb]++
 		}
 	}
-	for ppn := range m.torn {
-		if ppn < f.Pages() {
-			residue[ppn/f.spb]++
-		}
-	}
+	m.data.each(func(ppn int64, _ OOB) { count(ppn) })
+	m.torn.each(func(ppn int64, _ bool) { count(ppn) })
 	f.grownBad = 0
 	for i := int64(0); i < f.super; i++ {
 		s := &f.sb[i]
@@ -371,36 +370,31 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 	// Partial replay state is discarded wholesale — except the preload
 	// extent, whose genesis record precedes any corruption by
 	// construction and which the identity fallback depends on.
-	f.l2p = make(map[int64]int64)
-	f.p2l = make(map[int64]int64)
-	f.dead = make(map[int64]bool)
-	f.dur.ver = make(map[int64]uint64)
-	ppns := make([]int64, 0, len(m.data))
-	for ppn := range m.data {
-		if ppn < f.Pages() {
-			ppns = append(ppns, ppn)
+	f.l2p.reset()
+	f.p2l.reset()
+	f.dead.reset()
+	f.dur.ver.reset()
+	m.data.each(func(ppn int64, oob OOB) {
+		if ppn >= f.Pages() {
+			return
 		}
-	}
-	slices.Sort(ppns)
-	for _, ppn := range ppns {
 		rep.ScannedPages++
-		oob := m.data[ppn]
 		if oob.LPN < 0 {
-			continue
+			return
 		}
-		if _, mapped := f.l2p[oob.LPN]; !mapped || oob.Ver >= f.dur.ver[oob.LPN] {
-			f.l2p[oob.LPN] = ppn
-			f.dur.ver[oob.LPN] = oob.Ver
+		if !f.l2p.has(oob.LPN) || oob.Ver >= f.dur.ver.get(oob.LPN) {
+			f.l2p.set(oob.LPN, ppn)
+			f.dur.ver.set(oob.LPN, oob.Ver)
 		}
-	}
-	for ppn := range m.torn {
+	})
+	m.torn.each(func(ppn int64, _ bool) {
 		if ppn < f.Pages() {
 			rep.TornPages++
 		}
-	}
+	})
 	for p := int64(0); p < f.preloaded*f.spb; p++ {
-		if ppn, mapped := f.l2p[p]; !mapped || ppn != p {
-			f.dead[p] = true
+		if f.l2p.get(p) != p {
+			f.dead.set(p, true)
 		}
 	}
 	f.rebuild(m)
@@ -413,7 +407,7 @@ func (f *FTL) salvage(m *Media, rep RecoveryReport, corruptSeq int64) (*FTL, Rec
 // preloaded-identity — exists. Crash checks use it to compare recovered
 // state against the shadow oracle's acked history.
 func (f *FTL) Mapping(lpn int64) (ppn int64, ver uint64, ok bool) {
-	if p, mapped := f.l2p[lpn]; mapped {
+	if p := f.l2p.get(lpn); p != noPage {
 		return p, f.version(lpn), true
 	}
 	if f.identityLive(lpn) {
@@ -435,12 +429,12 @@ func (f *FTL) DumpState() string {
 		fmt.Fprintf(&b, "sb %d: valid=%d wear=%d sealed=%v free=%v bad=%v\n",
 			i, s.valid, s.wear, s.sealed, s.free, s.bad)
 	}
-	for _, lpn := range sortedKeys(f.l2p) {
-		fmt.Fprintf(&b, "map %d -> %d v%d\n", lpn, f.l2p[lpn], f.version(lpn))
-	}
-	for _, lpn := range sortedKeys(f.dead) {
+	f.l2p.each(func(lpn, ppn int64) {
+		fmt.Fprintf(&b, "map %d -> %d v%d\n", lpn, ppn, f.version(lpn))
+	})
+	f.dead.each(func(lpn int64, _ bool) {
 		fmt.Fprintf(&b, "dead %d\n", lpn)
-	}
+	})
 	for i, s := range f.sb {
 		if s.free {
 			fmt.Fprintf(&b, "free %d wear=%d\n", i, s.wear)

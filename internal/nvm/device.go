@@ -389,11 +389,13 @@ func (d *Device) Submit(at sim.Time, ops []PageOp) sim.Time {
 	}
 	d.cPAL[pal-1].Inc()
 	d.hLatency.Observe(end - at)
-	if d.probe.Enabled() {
-		d.probe.Span(obs.LayerNVM, "device", "submit", at, end,
-			obs.Attr{Key: "ops", Value: len(ops)},
-			obs.Attr{Key: "pal", Value: pal.String()})
+	var attrs []obs.Attr
+	if d.probe.KeepsSpans() {
+		attrs = []obs.Attr{
+			{Key: "ops", Value: len(ops)},
+			{Key: "pal", Value: pal.String()}}
 	}
+	d.probe.Span(obs.LayerNVM, "device", "submit", at, end, attrs...)
 
 	d.lastEnd = sim.MaxTime(d.lastEnd, end)
 	return end

@@ -37,9 +37,17 @@ func NewCollector() *Collector {
 }
 
 // Enabled reports whether spans or metrics are collected at all: false
-// only on a nil collector. Use it to skip attribute or track-name
-// construction on hot paths.
+// only on a nil collector. A collector with only a registry, or with a
+// full tracer, is enabled yet stores no span, so span attrs are built
+// under KeepsSpans instead.
 func (c *Collector) Enabled() bool { return c != nil }
+
+// KeepsSpans reports whether a Span call would store its span: a tracer is
+// attached and below its cap. Build span attrs only when it is true; a
+// Span call without them still counts its drop on a full tracer.
+func (c *Collector) KeepsSpans() bool {
+	return c != nil && c.Tr != nil && !c.Tr.full.Load()
+}
 
 // Span records one interval of simulated time on (layer, track) into the
 // tracer.

@@ -633,12 +633,14 @@ func (s *SSD) Submit(op trace.BlockOp) (sim.Time, error) {
 	}
 	s.probe.Observe("ssd.queue.wait", issue-arrive)
 	s.probe.Observe("ssd.request.latency", end-arrive)
-	if s.probe.Enabled() {
-		s.probe.Span(obs.LayerSSD, "queue", op.Kind.String(), arrive, end,
-			obs.Attr{Key: "offset", Value: op.Offset},
-			obs.Attr{Key: "size", Value: op.Size},
-			obs.Attr{Key: "pages", Value: int64(len(pageOps))})
+	var attrs []obs.Attr
+	if s.probe.KeepsSpans() {
+		attrs = []obs.Attr{
+			{Key: "offset", Value: op.Offset},
+			{Key: "size", Value: op.Size},
+			{Key: "pages", Value: int64(len(pageOps))}}
 	}
+	s.probe.Span(obs.LayerSSD, "queue", op.Kind.String(), arrive, end, attrs...)
 	// The request is fully scheduled and every reader of pageOps above is
 	// done: recycle the translation's storage for the next request.
 	s.trans.ReleaseOps(pageOps)
@@ -707,11 +709,13 @@ func (s *SSD) recover(at sim.Time) sim.Time {
 			if len(r.Ops) > 0 {
 				start := at
 				at = s.Dev.Submit(at, r.Ops)
-				if s.probe.Enabled() {
-					s.probe.Span(obs.LayerSSD, "queue", "retire", start, at,
-						obs.Attr{Key: "ppn", Value: f.PPN},
-						obs.Attr{Key: "pages", Value: int64(len(r.Ops))})
+				var attrs []obs.Attr
+				if s.probe.KeepsSpans() {
+					attrs = []obs.Attr{
+						{Key: "ppn", Value: f.PPN},
+						{Key: "pages", Value: int64(len(r.Ops))}}
 				}
+				s.probe.Span(obs.LayerSSD, "queue", "retire", start, at, attrs...)
 			}
 		}
 	}

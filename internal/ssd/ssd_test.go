@@ -233,6 +233,46 @@ func TestSubmitNopProbeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSubmitStoresNoSpanZeroAllocs pins that Submit builds span attrs only
+// for spans a tracer stores. A 64 KiB read allocates nothing with a
+// registry-only collector, or with a tracer past its cap, and the full
+// tracer still counts every span it drops.
+func TestSubmitStoresNoSpanZeroAllocs(t *testing.T) {
+	op := trace.BlockOp{Kind: trace.Read, Offset: 0, Size: 64 << 10}
+	t.Run("registry-only", func(t *testing.T) {
+		cfg := testConfig(nvm.SLC)
+		cfg.Probe = &obs.Collector{Reg: obs.NewRegistry()}
+		s := newSSD(t, cfg)
+		s.Submit(op)
+		if allocs := testing.AllocsPerRun(100, func() { s.Submit(op) }); allocs != 0 {
+			t.Fatalf("Submit with a registry-only collector allocates %.1f per call", allocs)
+		}
+	})
+	t.Run("full-tracer", func(t *testing.T) {
+		c := obs.NewCollector()
+		for i := 0; i < obs.DefaultTraceLimit; i++ {
+			c.Tr.Span("test", "fill", "fill", 0, 0)
+		}
+		cfg := testConfig(nvm.SLC)
+		cfg.Probe = c
+		s := newSSD(t, cfg)
+		before := c.Tr.Dropped()
+		s.Submit(op)
+		per := c.Tr.Dropped() - before
+		if per == 0 {
+			t.Fatal("a Submit past the cap counted no dropped span")
+		}
+		before = c.Tr.Dropped()
+		if allocs := testing.AllocsPerRun(100, func() { s.Submit(op) }); allocs != 0 {
+			t.Fatalf("Submit with a full tracer allocates %.1f per call", allocs)
+		}
+		// AllocsPerRun runs the function once more to warm up.
+		if got := c.Tr.Dropped() - before; got != 101*per {
+			t.Fatalf("101 Submits dropped %d spans, want %d", got, 101*per)
+		}
+	})
+}
+
 func TestProbeCollectsRequestMetrics(t *testing.T) {
 	c := obs.NewCollector()
 	cfg := testConfig(nvm.SLC)

@@ -234,12 +234,14 @@ func (a *AsFileSystem) Transform(ops []trace.PosixOp) []trace.BlockOp {
 		out = append(out, chunk(op.Kind, op.Offset, op.Size)...)
 		a.probe.Count("ufs.posix_ops", 1)
 		a.probe.Count("ufs.block_ops", int64(len(out)-outBefore))
-		if a.probe.Enabled() {
-			t := sim.Time(a.seq) * sim.Microsecond
-			a.probe.Span(obs.LayerUFS, "passthrough", "translate", t, t+sim.Microsecond,
-				obs.Attr{Key: "in_bytes", Value: op.Size},
-				obs.Attr{Key: "out_ops", Value: int64(len(out) - outBefore)})
+		var attrs []obs.Attr
+		if a.probe.KeepsSpans() {
+			attrs = []obs.Attr{
+				{Key: "in_bytes", Value: op.Size},
+				{Key: "out_ops", Value: int64(len(out) - outBefore)}}
 		}
+		t := sim.Time(a.seq) * sim.Microsecond
+		a.probe.Span(obs.LayerUFS, "passthrough", "translate", t, t+sim.Microsecond, attrs...)
 		a.seq++
 	}
 	return out
